@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a validated schedule has violations, 2 the problem
-is infeasible or unrealizable as posed, 3 usage or file errors.
+is infeasible or unrealizable as posed, 3 usage, file or solver errors.
 """
 
 from __future__ import annotations

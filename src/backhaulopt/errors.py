@@ -33,6 +33,10 @@ class InterferenceNotMinimal(BackhaulError):
     """A minimal-interference formulation was asked for a topology with interference pairs."""
 
 
+class SolverFailure(BackhaulError):
+    """The simplex solver could not produce a trustworthy answer for a well-formed LP."""
+
+
 class InfeasibleFloor(BackhaulError):
     """The fair-aggregate LP is infeasible for the requested per-BS floor."""
 

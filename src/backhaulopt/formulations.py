@@ -25,6 +25,7 @@ from backhaulopt.errors import (
     InterferenceNotMinimal,
     InvalidTopology,
     MissingLink,
+    SolverFailure,
 )
 from backhaulopt.lp import LinearProgram, LpStatus, Relation, solve
 from backhaulopt.model import NetworkTopology, TrafficDemand, subtree_bs_set
@@ -314,7 +315,7 @@ def solve_equal_demand(topology: NetworkTopology, setting: Setting) -> DemandSol
     if sol.status is not LpStatus.OPTIMAL:
         # D_B = 0 with zero fractions is always feasible and the objective is
         # capped by every link capacity, so anything else is a solver defect
-        raise RuntimeError(f"equal-demand LP was {sol.status.value}")
+        raise SolverFailure(f"equal-demand LP was {sol.status.value}")
     out = _decode(topology, setting, vmap, sol.assignment, Objective.EQUAL_DEMAND)
     out.lp_iterations = sol.iterations
     return out
@@ -346,7 +347,7 @@ def solve_aggregate(
     if sol.status is LpStatus.INFEASIBLE:
         raise InfeasibleFloor(f"no feasible demand vector with floor {floor_val}")
     if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"aggregate LP was {sol.status.value}")
+        raise SolverFailure(f"aggregate LP was {sol.status.value}")
     out = _decode(
         topology,
         setting,

@@ -7,7 +7,7 @@ from backhaulopt.lp.problem import (
     LpStatus,
     Relation,
 )
-from backhaulopt.lp.simplex import KERNEL_NAME, active_kernel, solve
+from backhaulopt.lp.simplex import active_kernel, solve
 
 __all__ = [
     "Constraint",
@@ -15,7 +15,6 @@ __all__ = [
     "LpSolution",
     "LpStatus",
     "Relation",
-    "KERNEL_NAME",
     "active_kernel",
     "solve",
 ]

@@ -1,20 +1,30 @@
-"""Pure-Python simplex pivot loop, the fallback for the compiled kernel.
+"""Simplex pivot loop over a dense NumPy tableau.
 
-Operates on the same dense tableau layout as the Cython kernel and performs
-the identical sequence of floating point operations (no fused multiply-add,
-same rounding), so both kernels pivot identically and agree exactly.
+A pivot updates only the rows whose entry in the pivot column is nonzero:
+the other rows would only have zeros subtracted from them. Formulation
+tableaus are mostly zeros, so a pivot typically touches a handful of rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-KERNEL_NAME = "python"
-
-# return codes shared with the compiled kernel
+# return codes of run_pivots
 OPTIMAL = 0
 UNBOUNDED = 1
 ITERATION_LIMIT = 2
+
+
+def eliminate(tableau, row, col):
+    """Pivot on (row, col): scale the row, clear col from every other row."""
+    T = tableau
+    T[row, :] /= T[row, col]
+    pivot_row = T[row, :]
+    # one row at a time: temporaries stay one row long, so peak memory does
+    # not grow with the number of rows a pivot touches
+    for i in np.flatnonzero(T[:, col]):
+        if i != row:
+            T[i, :] -= T[i, col] * pivot_row
 
 
 def run_pivots(tableau, basis, ncols_enter, tol, max_iter):
@@ -46,11 +56,7 @@ def run_pivots(tableau, basis, ncols_enter, tol, max_iter):
         ties = positive[ratios == best]
         row = int(ties[np.argmin(basis[ties])])  # Bland: smallest basic index leaves
 
-        piv = T[row, col]
-        T[row, :] /= piv
-        factors = T[:, col].copy()
-        factors[row] = 0.0
-        T -= np.outer(factors, T[row, :])
+        eliminate(T, row, col)
         basis[row] = col
         iters += 1
     return ITERATION_LIMIT, iters

@@ -1,44 +1,29 @@
 """Two-phase dense simplex with Bland's anti-cycling rule.
 
-The pivot loop is delegated to a kernel module: the compiled Cython kernel
-when the extension is available, otherwise the pure-Python fallback. Both
-implement the same contract (see _kernel_py.run_pivots) and produce the same
-pivots, so results do not depend on which one is active.
+The pivot loop lives in _kernel_py.run_pivots. solve takes the kernel as an
+argument so a caller can wrap run_pivots, for instance to time each phase.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from backhaulopt.errors import SolverFailure
 from backhaulopt.lp import _kernel_py
 from backhaulopt.lp.problem import LinearProgram, LpSolution, LpStatus, Relation
 
 PIVOT_TOL = 1e-9
 
-if os.environ.get("BACKHAULOPT_PURE_PYTHON", "") not in ("", "0"):
-    _kernel = _kernel_py
-else:
-    try:
-        from backhaulopt.lp import _kernel as _kernel_ext
-
-        _kernel = _kernel_ext
-    except ImportError:
-        _kernel = _kernel_py
-
-KERNEL_NAME = _kernel.KERNEL_NAME
-
 
 def active_kernel():
-    """The pivot kernel module selected at import time."""
-    return _kernel
+    """The pivot kernel module solve uses when none is passed."""
+    return _kernel_py
 
 
 def solve(lp: LinearProgram, kernel=None) -> LpSolution:
     """Maximize lp.objective over lp's constraints and bounds."""
     if kernel is None:
-        kernel = _kernel
+        kernel = _kernel_py
     n = lp.num_vars
     shift = lp.lower.copy()
 
@@ -89,6 +74,7 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
             art_at += 1
 
     max_iter = 10000 + 200 * (m + ncols)
+    rhs_scale = 1.0 + max((abs(rhs) for _, _, rhs in norm_rows), default=0.0)
     iterations = 0
 
     # phase 1: minimize the sum of artificial variables
@@ -99,10 +85,9 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
         code, iters = kernel.run_pivots(T, basis, n + n_slack, PIVOT_TOL, max_iter)
         iterations += iters
         if code == _kernel_py.ITERATION_LIMIT:
-            raise RuntimeError("simplex iteration limit hit in phase 1")
+            raise SolverFailure("simplex iteration limit hit in phase 1")
         if code == _kernel_py.UNBOUNDED:
-            raise RuntimeError("phase-1 objective cannot be unbounded")
-        rhs_scale = 1.0 + max((abs(rhs) for _, _, rhs in norm_rows), default=0.0)
+            raise SolverFailure("phase-1 objective cannot be unbounded")
         if -T[m, ncols] > PIVOT_TOL * rhs_scale:
             return LpSolution(LpStatus.INFEASIBLE, iterations=iterations)
 
@@ -119,10 +104,7 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
             if pivot_col < 0:
                 drop_rows.append(r)
                 continue
-            T[r, :] /= T[r, pivot_col]
-            factors = T[:, pivot_col].copy()
-            factors[r] = 0.0
-            T -= np.outer(factors, T[r, :])
+            _kernel_py.eliminate(T, r, pivot_col)
             basis[r] = pivot_col
             iterations += 1
         if drop_rows:
@@ -144,7 +126,7 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
     code, iters = kernel.run_pivots(T2, basis, n + n_slack, PIVOT_TOL, max_iter)
     iterations += iters
     if code == _kernel_py.ITERATION_LIMIT:
-        raise RuntimeError("simplex iteration limit hit in phase 2")
+        raise SolverFailure("simplex iteration limit hit in phase 2")
     if code == _kernel_py.UNBOUNDED:
         return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
 
@@ -155,6 +137,8 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
     x = y[:n] + shift
     value = float(lp.objective @ x)
     residual = _max_violation(lp, x)
+    if residual > PIVOT_TOL * rhs_scale:
+        raise SolverFailure(f"simplex optimum violates the constraints by {residual:.3g}")
     return LpSolution(
         LpStatus.OPTIMAL,
         objective_value=value,

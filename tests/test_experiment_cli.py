@@ -14,6 +14,7 @@ from backhaulopt.experiment import (
     run_trial,
     write_results,
 )
+from backhaulopt.lp import _kernel_py
 
 
 def test_trial_covers_every_setting_and_objective():
@@ -102,6 +103,16 @@ def test_cli_usage_and_io_exit_codes(tmp_path, capsys):
         main(["no-such-command"])
     assert err.value.code == 3
     capsys.readouterr()
+
+
+def test_cli_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    topo = tmp_path / "topo.json"
+    main(["generate", "--seed", "4", "--out", str(topo)])
+    monkeypatch.setattr(
+        _kernel_py, "run_pivots", lambda tableau, basis, *args: (_kernel_py.ITERATION_LIMIT, 0)
+    )
+    assert main(["solve", str(topo), "--setting", "LI-LR(2)"]) == 3
+    assert "iteration limit" in capsys.readouterr().err
 
 
 def test_cli_seed_env_override(tmp_path, monkeypatch):

@@ -9,9 +9,10 @@ the first and last physical links within the link's own schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from backhaulopt.errors import InvalidHopCount, NonPositiveInput
+from backhaulopt.errors import InvalidHopCount, NonFiniteInput, NonPositiveInput
 
 # OFDM numerology used throughout the experiments: 4.16 us slots carrying one
 # symbol on 6912 data subcarriers, 256-QAM (8 bits per symbol), no coding
@@ -64,6 +65,8 @@ def link_profile(hop_count: int, phy_rate_gbps: float) -> LinkCapacityProfile:
     """
     if not isinstance(hop_count, int) or hop_count < 1:
         raise InvalidHopCount(f"hop_count must be a positive integer, got {hop_count!r}")
+    if not math.isfinite(phy_rate_gbps):
+        raise NonFiniteInput(f"phy_rate_gbps must be finite, got {phy_rate_gbps}")
     if phy_rate_gbps <= 0:
         raise NonPositiveInput(f"phy_rate_gbps must be positive, got {phy_rate_gbps}")
     if hop_count == 1:

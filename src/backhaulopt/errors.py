@@ -9,6 +9,10 @@ class NonPositiveInput(BackhaulError):
     """A quantity that must be strictly positive was zero or negative."""
 
 
+class NonFiniteInput(BackhaulError):
+    """A number that must be finite was NaN or infinite."""
+
+
 class InvalidHopCount(BackhaulError):
     """Logical link hop count must be a positive integer."""
 

@@ -6,6 +6,7 @@ across Python versions, so a seed pins the topology bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field, replace
 
@@ -93,19 +94,19 @@ def generate_topology(config: GeneratorConfig) -> NetworkTopology:
 
     parent_of: dict[int, int] = {}
     child_count: dict[int, int] = {0: 0}
+    eligible: list[int] = []  # placed small BSs with a free child slot, sorted
     for pos, bs in enumerate(order):
         if pos < config.macro_degree:
             parent = 0
         else:
-            eligible = sorted(
-                b
-                for b in parent_of
-                if child_count.get(b, 0) < config.max_small_children
-            )
             parent = rng.choice(eligible)
+            if child_count[parent] + 1 == config.max_small_children:
+                del eligible[bisect.bisect_left(eligible, parent)]
         parent_of[bs] = parent
-        child_count[parent] = child_count.get(parent, 0) + 1
-        child_count.setdefault(bs, 0)
+        child_count[parent] += 1
+        child_count[bs] = 0
+        if config.max_small_children > 0:
+            bisect.insort(eligible, bs)
 
     links = [
         make_link(
@@ -138,29 +139,33 @@ def generate_topology(config: GeneratorConfig) -> NetworkTopology:
 
 def _draw_pairs(rng: random.Random, links, budget: int) -> list[tuple[int, int]]:
     """Sample interference pairs: each pair shares a BS and no link gets a
-    second partner at the same BS."""
-    ends = {l.id: (l.parent, l.child) for l in links}
-    taken: set[tuple[int, int]] = set()  # (link, bs) combos already paired
+    second partner at the same BS.
+
+    The candidates are every (a, b, bs) with links a < b meeting at bs,
+    sorted by (a, b), and each draw is a uniform choice among those still
+    allowed. In a tree two links meet at one BS at most, so a draw of
+    (a, b, bs) rules out exactly the candidates at bs that hold a or b.
+    """
+    incident: dict[int, list[int]] = {}
+    for l in sorted(links, key=lambda l: l.id):
+        incident.setdefault(l.parent, []).append(l.id)
+        incident.setdefault(l.child, []).append(l.id)
+    candidates = sorted(
+        (a, b, bs)
+        for bs, ids in incident.items()
+        for k, a in enumerate(ids)
+        for b in ids[k + 1:]
+    )
     pairs: list[tuple[int, int]] = []
     for _ in range(budget):
-        candidates = []
-        for a in sorted(ends):
-            for b in sorted(ends):
-                if b <= a:
-                    continue
-                shared = set(ends[a]) & set(ends[b])
-                if not shared:
-                    continue
-                bs = min(shared)
-                if (a, bs) in taken or (b, bs) in taken:
-                    continue
-                candidates.append((a, b, bs))
         if not candidates:
             break
         a, b, bs = rng.choice(candidates)
         pairs.append((a, b))
-        taken.add((a, bs))
-        taken.add((b, bs))
+        candidates = [
+            c for c in candidates
+            if c[2] != bs or (c[0] not in (a, b) and c[1] not in (a, b))
+        ]
     return pairs
 
 

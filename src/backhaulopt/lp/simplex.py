@@ -14,6 +14,8 @@ from backhaulopt.lp.problem import LinearProgram, LpSolution, LpStatus, Relation
 
 PIVOT_TOL = 1e-9
 
+_SENSE = {Relation.LE: 1.0, Relation.GE: -1.0, Relation.EQ: 0.0}
+
 
 def active_kernel():
     """The pivot kernel module solve uses when none is passed."""
@@ -21,67 +23,67 @@ def active_kernel():
 
 
 def solve(lp: LinearProgram, kernel=None) -> LpSolution:
-    """Maximize lp.objective over lp's constraints and bounds."""
+    """Maximize lp.objective over lp's constraints and bounds.
+
+    The variables are shifted to y = x - lower >= 0. Each finite upper bound
+    becomes one more <= row, every row with a negative right-hand side is
+    negated, and the tableau gets one slack column per <= or >= row and one
+    artificial column per >= or = row, numbered in row order. Phase 1
+    minimizes the sum of the artificials and drives the basic ones out;
+    phase 2 maximizes the objective over the structural and slack columns.
+    """
     if kernel is None:
         kernel = _kernel_py
     n = lp.num_vars
     shift = lp.lower.copy()
+    bounded = np.flatnonzero(np.isfinite(lp.upper))
+    k = len(lp.constraints)
+    m = k + bounded.size
 
-    # rows over shifted variables y = x - lower >= 0
-    rows: list[tuple[np.ndarray, Relation, float]] = []
-    for con in lp.constraints:
-        rows.append((con.coeffs.copy(), con.relation, con.rhs - float(con.coeffs @ shift)))
-    for i in range(n):
-        if np.isfinite(lp.upper[i]):
-            e = np.zeros(n)
-            e[i] = 1.0
-            rows.append((e, Relation.LE, lp.upper[i] - shift[i]))
+    # rows over shifted variables y = x - lower >= 0; sense is +1 for <=,
+    # -1 for >= and 0 for =. One dot product per row: a matrix product
+    # would round the shifted right-hand sides differently.
+    rhs = np.empty(m)
+    sense = np.ones(m)
+    for r, con in enumerate(lp.constraints):
+        rhs[r] = con.rhs - float(con.coeffs @ shift)
+        sense[r] = _SENSE[con.relation]
+    rhs[k:] = lp.upper[bounded] - shift[bounded]
 
     # normalize right-hand sides to be nonnegative
-    norm_rows = []
-    for coeffs, rel, rhs in rows:
-        if rhs < 0:
-            coeffs = -coeffs
-            rhs = -rhs
-            rel = {Relation.LE: Relation.GE, Relation.GE: Relation.LE, Relation.EQ: Relation.EQ}[rel]
-        norm_rows.append((coeffs, rel, rhs))
+    flip = rhs < 0
+    rhs[flip] = -rhs[flip]
+    sense[flip] = -sense[flip]
 
-    m = len(norm_rows)
-    n_slack = sum(1 for _, rel, _ in norm_rows if rel in (Relation.LE, Relation.GE))
-    n_art = sum(1 for _, rel, _ in norm_rows if rel in (Relation.GE, Relation.EQ))
+    has_slack = sense != 0
+    has_art = sense <= 0
+    n_slack = int(np.count_nonzero(has_slack))
+    n_art = int(np.count_nonzero(has_art))
     ncols = n + n_slack + n_art
     T = np.zeros((m + 1, ncols + 1))
-    basis = np.zeros(m, dtype=np.int64)
-
-    slack_at = n
-    art_at = n + n_slack
-    for r, (coeffs, rel, rhs) in enumerate(norm_rows):
-        T[r, :n] = coeffs
-        T[r, ncols] = rhs
-        if rel is Relation.LE:
-            T[r, slack_at] = 1.0
-            basis[r] = slack_at
-            slack_at += 1
-        elif rel is Relation.GE:
-            T[r, slack_at] = -1.0
-            slack_at += 1
-            T[r, art_at] = 1.0
-            basis[r] = art_at
-            art_at += 1
-        else:
-            T[r, art_at] = 1.0
-            basis[r] = art_at
-            art_at += 1
+    A = T[:m, :n]
+    if k:
+        A[:k] = [con.coeffs for con in lp.constraints]
+    A[k + np.arange(bounded.size), bounded] = 1.0
+    A[flip] = -A[flip]
+    T[:m, ncols] = rhs
+    slack_col = n - 1 + np.cumsum(has_slack)
+    art_col = n + n_slack - 1 + np.cumsum(has_art)
+    slack_rows = np.flatnonzero(has_slack)
+    art_rows = np.flatnonzero(has_art)
+    T[slack_rows, slack_col[slack_rows]] = sense[slack_rows]
+    T[art_rows, art_col[art_rows]] = 1.0
+    basis = np.where(has_art, art_col, slack_col).astype(np.int64)
 
     max_iter = 10000 + 200 * (m + ncols)
-    rhs_scale = 1.0 + max((abs(rhs) for _, _, rhs in norm_rows), default=0.0)
+    rhs_scale = 1.0 + float(rhs.max(initial=0.0))
     iterations = 0
 
     # phase 1: minimize the sum of artificial variables
     if n_art:
-        for r in range(m):
-            if basis[r] >= n + n_slack:
-                T[m, :] -= T[r, :]
+        # one row at a time: a sum over the rows would round differently
+        for r in art_rows:
+            T[m, :] -= T[r, :]
         code, iters = kernel.run_pivots(T, basis, n + n_slack, PIVOT_TOL, max_iter)
         iterations += iters
         if code == _kernel_py.ITERATION_LIMIT:
@@ -93,29 +95,24 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
 
         # drive basic artificials out; a row with no real pivot is redundant
         drop_rows = []
-        for r in range(m):
-            if basis[r] < n + n_slack:
-                continue
-            pivot_col = -1
-            for j in range(n + n_slack):
-                if abs(T[r, j]) > PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
+        for r in np.flatnonzero(basis >= n + n_slack):
+            nonzero = np.flatnonzero(np.abs(T[r, : n + n_slack]) > PIVOT_TOL)
+            if nonzero.size == 0:
                 drop_rows.append(r)
                 continue
+            pivot_col = int(nonzero[0])
             _kernel_py.eliminate(T, r, pivot_col)
             basis[r] = pivot_col
             iterations += 1
         if drop_rows:
-            keep = [r for r in range(m) if r not in drop_rows]
-            T = T[keep + [m], :]
-            basis = basis[keep]
-            m = len(keep)
+            T = np.delete(T, drop_rows, axis=0)
+            basis = np.delete(basis, drop_rows)
+            m -= len(drop_rows)
 
     # phase 2: minimize -objective over structural + slack columns
-    keep_cols = list(range(n + n_slack)) + [ncols]
-    T2 = np.ascontiguousarray(T[:, keep_cols])
+    T2 = np.empty((m + 1, n + n_slack + 1))
+    T2[:, : n + n_slack] = T[:, : n + n_slack]
+    T2[:, n + n_slack] = T[:, ncols]
     obj = np.zeros(n + n_slack + 1)
     obj[:n] = -lp.objective
     T2[m, :] = obj
@@ -131,8 +128,7 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
         return LpSolution(LpStatus.UNBOUNDED, iterations=iterations)
 
     y = np.zeros(n + n_slack)
-    for r in range(m):
-        y[basis[r]] = T2[r, n + n_slack]
+    y[basis] = T2[:m, n + n_slack]
     y[(y < 0) & (y > -1e-9)] = 0.0
     x = y[:n] + shift
     value = float(lp.objective @ x)

@@ -9,11 +9,12 @@ link feeds, which is also how the inbound link of a BS is found.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from backhaulopt import capacity as _capacity
-from backhaulopt.errors import InconsistentInput, UnknownBS
+from backhaulopt.errors import InconsistentInput, NonFiniteInput, UnknownBS
 
 MACRO = "macro"
 SMALL = "small"
@@ -66,6 +67,13 @@ def make_link(
 ) -> LogicalLink:
     """Build a link, deriving the capacity profile unless overridden."""
     profile = _capacity.link_profile(hop_count, phy_rate_gbps)
+    for name, value in (
+        ("capacity_gbps", capacity_gbps),
+        ("p_first_max", p_first_max),
+        ("p_last_max", p_last_max),
+    ):
+        if value is not None and not math.isfinite(value):
+            raise NonFiniteInput(f"link {link_id} {name} must be finite, got {value}")
     return LogicalLink(
         id=link_id,
         parent=parent,

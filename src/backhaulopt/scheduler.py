@@ -23,9 +23,10 @@ interval arithmetic exact; emitted schedules are floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from backhaulopt.errors import InconsistentInput, MissingLink, PlacementFailure
+from backhaulopt.errors import InconsistentInput, MissingLink, NonFiniteInput, PlacementFailure
 from backhaulopt.model import NetworkTopology
 
 GRID = 10**12
@@ -172,6 +173,8 @@ def _plan_for(link, p_first: dict[int, float]) -> _LinkPlan:
     if link.id not in p_first:
         raise MissingLink(f"p_first has no entry for link {link.id}")
     p = float(p_first[link.id])
+    if not math.isfinite(p):
+        raise NonFiniteInput(f"p_first[{link.id}]={p} is not a finite number")
     if p < -1e-9 or p > link.p_first_max + 1e-9:
         raise InconsistentInput(
             f"p_first[{link.id}]={p} outside [0, {link.p_first_max}]"

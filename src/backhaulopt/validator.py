@@ -100,8 +100,13 @@ def _self_overlap(intervals: list[Interval]) -> float:
 
 
 def _bad_geometry(intervals: list[Interval]) -> bool:
-    return any(
-        e < s - TOL_INTERVAL or s < -TOL_INTERVAL or e > 1.0 + TOL_INTERVAL
+    """Whether some interval is reversed, leaves the frame or is not a number.
+
+    Written as the negation of a well-formed interval: every comparison with
+    NaN is False, so a NaN endpoint fails the test instead of passing it.
+    """
+    return not all(
+        -TOL_INTERVAL <= s and s - TOL_INTERVAL <= e <= 1.0 + TOL_INTERVAL
         for s, e in intervals
     )
 

@@ -1,15 +1,17 @@
 """Independent references the test suite checks the package against.
 
-Everything here is closed-form arithmetic or brute-force enumeration over
-basic solutions; nothing calls the package's simplex solver or LP builders.
-Agreement between these references and the package is therefore a two-route
-check, not a tautology.
+Everything here is closed-form arithmetic, brute-force enumeration over
+basic solutions, or a full-rescan replay of the topology generator; nothing
+calls the package's simplex solver, LP builders or generator. Agreement
+between these references and the package is therefore a two-route check,
+not a tautology.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 
@@ -190,3 +192,74 @@ def has_improving_ray(c, A, tol=1e-9):
     d = np.linalg.solve(sub[keep], rhs[keep][..., None])[..., 0]
     in_cone = (A @ d.T <= tol).all(axis=0)
     return bool(np.any(in_cone & (d @ c > 1e-9)))
+
+
+def reference_generation(config):
+    """The draws generator.generate_topology must make for config.
+
+    Returns (parent_of, hops, pairs): the parent BS of every small BS, the
+    hop count of every link, and the interference pairs in draw order. This
+    is the generator's slow route: before each random choice the eligible
+    parents, and the pair candidates, are rebuilt in full.
+    """
+    rng = random.Random(config.seed)
+    order = list(range(1, config.num_small_bs + 1))
+    rng.shuffle(order)
+    parent_of = {}
+    child_count = {0: 0}
+    for pos, bs in enumerate(order):
+        if pos < config.macro_degree:
+            parent = 0
+        else:
+            eligible = sorted(
+                b for b in parent_of if child_count.get(b, 0) < config.max_small_children
+            )
+            parent = rng.choice(eligible)
+        parent_of[bs] = parent
+        child_count[parent] = child_count.get(parent, 0) + 1
+        child_count.setdefault(bs, 0)
+    hops = {bs: _reference_hops(rng, config.hop_distribution) for bs in sorted(parent_of)}
+    ends = {bs: (parent_of[bs], bs) for bs in parent_of}
+    pairs = reference_pairs(rng, ends, config.interference_pair_budget)
+    return parent_of, hops, pairs
+
+
+def _reference_hops(rng, distribution):
+    items = sorted(distribution.items())
+    r = rng.random() * sum(w for _, w in items)
+    acc = 0.0
+    for hops, weight in items:
+        acc += weight
+        if r < acc:
+            return hops
+    return items[-1][0]
+
+
+def reference_pairs(rng, ends, budget):
+    """Draw up to budget pairs, rebuilding every candidate before each draw.
+
+    ends maps link id -> (parent, child). A candidate is two links sharing
+    a BS where neither is paired at that BS yet, listed in (a, b) order.
+    """
+    taken = set()  # (link, bs) combos already paired
+    pairs = []
+    for _ in range(budget):
+        candidates = []
+        for a in sorted(ends):
+            for b in sorted(ends):
+                if b <= a:
+                    continue
+                shared = set(ends[a]) & set(ends[b])
+                if not shared:
+                    continue
+                bs = min(shared)
+                if (a, bs) in taken or (b, bs) in taken:
+                    continue
+                candidates.append((a, b, bs))
+        if not candidates:
+            break
+        a, b, bs = rng.choice(candidates)
+        pairs.append((a, b))
+        taken.add((a, bs))
+        taken.add((b, bs))
+    return pairs

@@ -78,6 +78,37 @@ def test_cli_validate_flags_tampering(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
+def test_cli_validate_flags_nan_schedule(tmp_path, capsys):
+    topo, sol, sched = (tmp_path / n for n in ("t.json", "s.json", "f.json"))
+    main(["generate", "--seed", "4", "--out", str(topo)])
+    main(["solve", str(topo), "--setting", "MI-ER", "--out", str(sol)])
+    main(["schedule", str(topo), str(sol), "--out", str(sched)])
+    data = json.loads(sched.read_text())
+    for entry in data["links"].values():
+        entry["footprint"] = [[float("nan")] * 2 for _ in entry["footprint"]]
+        for side in ("parent_side", "child_side"):
+            for piece in entry[side]:
+                piece["start"] = piece["end"] = float("nan")
+    sched.write_text(json.dumps(data))
+    assert main(["validate", str(topo), str(sol), str(sched)]) == 1
+    assert "violation" in capsys.readouterr().out
+
+
+def test_cli_non_finite_input_exits_3(tmp_path, capsys):
+    topo, sol = tmp_path / "t.json", tmp_path / "s.json"
+    main(["generate", "--seed", "4", "--out", str(topo)])
+    main(["solve", str(topo), "--setting", "MI-ER", "--out", str(sol)])
+    data = json.loads(sol.read_text())
+    data["p_first"][next(iter(data["p_first"]))] = float("nan")
+    sol.write_text(json.dumps(data))
+    assert main(["schedule", str(topo), str(sol)]) == 3
+    data = json.loads(topo.read_text())
+    data["links"][0]["phy_rate_gbps"] = float("nan")
+    topo.write_text(json.dumps(data))
+    assert main(["solve", str(topo), "--setting", "MI-ER"]) == 3
+    assert "finite" in capsys.readouterr().err
+
+
 def test_cli_infeasible_exit_codes(tmp_path, capsys):
     topo = tmp_path / "topo.json"
     main(["generate", "--seed", "4", "--pairs", "3", "--out", str(topo)])

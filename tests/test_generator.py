@@ -1,7 +1,11 @@
 """Seeded topology generation: reproducibility and structural guarantees."""
 
+import random
+
 import pytest
 
+import oracles
+from backhaulopt import generator
 from backhaulopt.errors import InconsistentInput, InfeasibleConfig
 from backhaulopt.formulations import parse_setting
 from backhaulopt.generator import (
@@ -43,6 +47,92 @@ def test_known_seed_frozen():
     assert {s.id: s.radio_chains for s in topo.stations} == {
         0: 2, 1: 3, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2,
     }
+
+
+def _grid_configs():
+    for n in (1, 2, 3, 4, 7, 12, 25, 40):
+        for macro_degree in sorted({1, 2, max(1, n // 3), n} & set(range(1, n + 1))):
+            for max_children in (0, 1, 2, 3):
+                if max_children == 0 and macro_degree < n:
+                    continue  # nowhere to attach: rejected by the config check
+                for budget in sorted({0, 1, n // 3, n, 4 * n}):
+                    for seed in (0, 1, 2):
+                        yield GeneratorConfig(
+                            seed=seed,
+                            num_small_bs=n,
+                            macro_degree=macro_degree,
+                            max_small_children=max_children,
+                            interference_pair_budget=budget,
+                        )
+
+
+def test_matches_the_full_rescan_reference():
+    # the generator keeps its candidate lists incrementally; the reference
+    # rescans them before every draw, so equal output means equal rng draws
+    configs = list(_grid_configs())
+    assert len(configs) > 1000
+    for config in configs:
+        parent_of, hops, pairs = oracles.reference_generation(config)
+        topo = generate_topology(config)
+        assert {l.id: l.parent for l in topo.links} == parent_of, config
+        assert {l.id: l.hop_count for l in topo.links} == hops, config
+        assert topo.interference_pairs == tuple(sorted(pairs)), config
+
+
+def test_pair_draw_order_matches_the_reference():
+    for seed in range(40):
+        topo = generate_topology(GeneratorConfig(seed=seed, num_small_bs=30, macro_degree=5))
+        ends = {l.id: (l.parent, l.child) for l in topo.links}
+        budget = (seed % 4) * 10
+        got = generator._draw_pairs(random.Random(seed), topo.links, budget)
+        assert got == oracles.reference_pairs(random.Random(seed), ends, budget)
+
+
+# interference pairs of perfbench's plan-large trees (200 small BSs, macro
+# degree 8, at most 2 children, 66 pairs), recorded from the full-rescan
+# generator
+FROZEN_LARGE_PAIRS = {
+    1: (
+        (1, 69), (2, 46), (2, 121), (4, 75), (5, 162), (10, 181), (14, 144),
+        (15, 48), (19, 117), (23, 46), (25, 140), (28, 59), (29, 42), (30, 142),
+        (31, 72), (32, 87), (33, 155), (34, 188), (36, 150), (36, 157),
+        (37, 103), (38, 189), (39, 72), (39, 112), (41, 171), (44, 160),
+        (45, 183), (48, 109), (54, 115), (55, 92), (55, 191), (56, 114),
+        (57, 145), (57, 174), (58, 158), (58, 180), (62, 81), (64, 185),
+        (65, 71), (68, 160), (69, 152), (78, 100), (78, 119), (79, 93),
+        (80, 132), (83, 84), (84, 140), (85, 119), (89, 197), (94, 129),
+        (97, 188), (104, 199), (108, 169), (110, 161), (116, 162), (118, 186),
+        (120, 154), (124, 172), (127, 190), (134, 184), (138, 199), (145, 170),
+        (147, 165), (153, 197), (164, 175), (176, 182),
+    ),
+    2027: (
+        (2, 107), (2, 199), (6, 110), (6, 166), (9, 182), (9, 195), (10, 66),
+        (13, 130), (14, 53), (14, 163), (25, 27), (29, 140), (29, 181),
+        (32, 100), (34, 177), (35, 37), (38, 191), (43, 141), (45, 79),
+        (46, 122), (48, 135), (49, 104), (52, 195), (55, 196), (57, 194),
+        (58, 136), (63, 163), (67, 75), (69, 144), (69, 154), (70, 81),
+        (71, 118), (72, 93), (74, 189), (75, 91), (76, 197), (77, 118),
+        (79, 87), (85, 151), (86, 109), (88, 198), (90, 186), (91, 179),
+        (92, 125), (94, 162), (95, 112), (95, 159), (99, 187), (101, 169),
+        (101, 172), (106, 111), (116, 159), (122, 165), (124, 145), (124, 169),
+        (126, 129), (126, 198), (128, 187), (132, 162), (137, 165), (143, 185),
+        (144, 148), (145, 175), (151, 155), (154, 173), (178, 180),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_LARGE_PAIRS))
+def test_large_tree_pairs_frozen(seed):
+    topo = generate_topology(
+        GeneratorConfig(
+            seed=seed,
+            num_small_bs=200,
+            macro_degree=8,
+            max_small_children=2,
+            interference_pair_budget=66,
+        )
+    )
+    assert topo.interference_pairs == FROZEN_LARGE_PAIRS[seed]
 
 
 def test_structure_holds_across_many_seeds():

@@ -54,6 +54,28 @@ def test_shifted_lower_bounds():
     assert sol.assignment[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_tableau_assembly_frozen():
+    # every assembly path at once: <=, >= and = rows that all have negative
+    # right-hand sides (each is flipped), lower-bound shifts, an active
+    # upper-bound row, and a doubled = row whose artificial phase 1 cannot
+    # drive out, so the row is dropped; recorded with the row-by-row assembly
+    lp = LinearProgram(3)
+    lp.set_objective([1.0, 2.0, 0.7])
+    lp.add_constraint([-1.0, -1.0, 0.0], Relation.LE, -2.0)
+    lp.add_constraint([-1.0, 0.0, -1.0], Relation.GE, -6.1)
+    lp.add_constraint([0.0, -1.0, -1.0], Relation.EQ, -3.3)
+    lp.add_constraint([0.0, -2.0, -2.0], Relation.EQ, -6.6)
+    lp.set_bounds(0, lower=0.3)
+    lp.set_bounds(1, lower=0.2, upper=2.9)
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.iterations == 5
+    assert sol.objective_value.hex() == "0x1.78f5c28f5c28fp+3"
+    assert [v.hex() for v in sol.assignment] == [
+        "0x1.6cccccccccccdp+2", "0x1.7333333333333p+1", "0x1.9999999999998p-2",
+    ]
+
+
 def test_infeasible_rows_detected():
     lp = LinearProgram(1)
     lp.set_objective([1.0])

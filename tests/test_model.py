@@ -5,7 +5,7 @@ import json
 import pytest
 
 import helpers
-from backhaulopt.errors import InconsistentInput, UnknownBS
+from backhaulopt.errors import BackhaulError, InconsistentInput, NonFiniteInput, UnknownBS
 from backhaulopt.model import (
     MACRO,
     SMALL,
@@ -40,6 +40,17 @@ def test_make_link_overrides_win():
     assert link.capacity_gbps == 5.0
     assert link.p_first_max == 0.4
     assert link.p_last_max == 0.5  # not overridden, derived
+
+
+def test_make_link_rejects_non_finite_numbers():
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(NonFiniteInput):
+            make_link(1, 0, 1, 1, phy_rate_gbps=value)
+        with pytest.raises(NonFiniteInput):
+            make_link(1, 0, 1, 2, phy_rate_gbps=13.3, capacity_gbps=value)
+        with pytest.raises(NonFiniteInput):
+            make_link(1, 0, 1, 2, phy_rate_gbps=13.3, p_last_max=value)
+    assert issubclass(NonFiniteInput, BackhaulError)
 
 
 def test_accessors_and_sorted_views():

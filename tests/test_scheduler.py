@@ -3,7 +3,7 @@
 import pytest
 
 import helpers
-from backhaulopt.errors import InconsistentInput, MissingLink, PlacementFailure
+from backhaulopt.errors import InconsistentInput, MissingLink, NonFiniteInput, PlacementFailure
 from backhaulopt.formulations import Interference, parse_setting, solve_equal_demand
 from backhaulopt.generator import adapt_topology, strip_interference
 from backhaulopt.scheduler import (
@@ -99,6 +99,13 @@ def test_input_validation():
     multi = helpers.chain(hops=(2,))
     with pytest.raises(InconsistentInput):
         build_schedule(multi, {1: 0.75})  # exceeds P^f = 0.5
+
+
+def test_non_finite_p_first_rejected():
+    topo = helpers.star(2, hop=1)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(NonFiniteInput):
+            build_schedule(topo, {1: value, 2: 0.5})
 
 
 def test_empty_demand_schedules_cleanly():

@@ -142,6 +142,21 @@ def test_report_collects_multiple_violations():
     assert len(report.violations) >= 2
 
 
+def test_nan_intervals_are_flagged():
+    # every comparison against NaN is False, so NaN must be rejected outright
+    topo = helpers.chain(hops=(2, 1))
+    sol, sched = _solved(topo)
+    bad = copy.deepcopy(sched)
+    nan = float("nan")
+    for entry in bad.links.values():
+        entry.footprint = [(nan, nan) for _ in entry.footprint]
+        entry.parent_side = [(c, nan, nan) for c, _, _ in entry.parent_side]
+        entry.child_side = [(c, nan, nan) for c, _, _ in entry.child_side]
+    report = validate_schedule(topo, bad, p_first=sol.p_first, demands=sol.per_bs)
+    assert not report.ok
+    assert {"FootprintMismatch", "ActiveOutsideFootprint"} <= _kinds(report)
+
+
 def test_jain_index_values():
     assert jain_index([1.0, 1.0, 1.0, 1.0]) == 1.0  # exact, not approx
     assert jain_index([5.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25, abs=1e-12)

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a validated schedule has violations, 2 the problem
-is infeasible or unrealizable as posed, 3 usage, file or solver errors.
+is infeasible or unrealizable as posed, 3 usage, file, input or solver
+errors, and any internal error (printed with its traceback).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
 from backhaulopt.errors import (
@@ -223,6 +225,11 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception:
+        # a defect, not a verdict: never let it read as exit 1 (violations)
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return 3
 
 

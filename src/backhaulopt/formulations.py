@@ -25,10 +25,11 @@ from backhaulopt.errors import (
     InterferenceNotMinimal,
     InvalidTopology,
     MissingLink,
+    NonFiniteInput,
     SolverFailure,
 )
 from backhaulopt.lp import LinearProgram, LpStatus, Relation, solve
-from backhaulopt.model import NetworkTopology, TrafficDemand, subtree_bs_set
+from backhaulopt.model import NetworkTopology, subtree_bs_set
 
 
 class Interference(enum.Enum):
@@ -127,10 +128,6 @@ def _check_topology(topology: NetworkTopology, setting: Setting) -> None:
             )
 
 
-def _subtree_sizes(topology: NetworkTopology) -> dict[int, int]:
-    return {l.id: len(subtree_bs_set(topology, l.child)) for l in topology.links}
-
-
 def _needs_p_vars(setting: Setting) -> bool:
     return (
         setting.interference is Interference.LIMITED
@@ -142,9 +139,10 @@ def _needs_p_vars(setting: Setting) -> bool:
 class _VarMap:
     """Column layout of a formulation LP."""
 
-    demand_cols: dict[int, int] = field(default_factory=dict)  # BS id -> column (or D_B at 0)
+    demand_cols: dict[int, int]  # small BS id -> its demand column
     p_cols: dict[int, int] = field(default_factory=dict)  # link id -> column
-    shared_demand: bool = False
+    # link id -> {demand column: subtree BSs on it}, the demand the link carries
+    carried: dict[int, dict[int, int]] = field(default_factory=dict)
 
 
 def _add_p_constraints(
@@ -176,43 +174,67 @@ def _add_p_constraints(
                 lp.add_constraint(row, Relation.LE, float(s.radio_chains))
 
 
-def build_equal_demand_lp(
-    topology: NetworkTopology, setting: Setting
+def _build_demand_lp(
+    topology: NetworkTopology,
+    setting: Setting,
+    demand_names: list[str],
+    demand_cols: dict[int, int],
+    floors: dict[int, float] | None = None,
 ) -> tuple[LinearProgram, _VarMap]:
-    """maximize D_B, every small BS demanding D_B.
+    """maximize the sum of the demand columns over the capacity program.
 
-    With minimal interference and enough radio chains the active-time
-    fractions are unconstrained apart from their boxes, so the LP reduces to
-    D_B alone; otherwise one p_f[i] per link joins the program.
+    Each small BS demands its column of demand_cols; a link must carry the
+    demand of every BS in its subtree. With minimal interference and enough
+    radio chains the active-time fractions are unconstrained apart from
+    their boxes, so the LP holds the demands alone; otherwise one p_f[i]
+    per link joins the program.
     """
     _check_topology(topology, setting)
-    sizes = _subtree_sizes(topology)
     with_p = _needs_p_vars(setting)
 
-    names = ["D_B"]
-    vmap = _VarMap(shared_demand=True)
+    names = list(demand_names)
+    vmap = _VarMap(demand_cols=demand_cols)
     if with_p:
         for link in topology.links:
             vmap.p_cols[link.id] = len(names)
             names.append(f"p_f[{link.id}]")
     lp = LinearProgram(len(names), names)
     obj = [0.0] * lp.num_vars
-    obj[0] = 1.0
+    for col in demand_cols.values():
+        obj[col] = 1.0
     lp.set_objective(obj)
 
     for link in topology.links:
+        carried: dict[int, int] = {}
+        for b in subtree_bs_set(topology, link.child):
+            col = demand_cols[b]
+            carried[col] = carried.get(col, 0) + 1
+        vmap.carried[link.id] = carried
         row = [0.0] * lp.num_vars
-        row[0] = -float(sizes[link.id])
+        for col, count in carried.items():
+            row[col] = -float(count)
         if with_p:
-            # (C_i / P_i^f) p_i >= |B_i| D_B
+            # (C_i / P_i^f) p_i >= demand carried by link i
             row[vmap.p_cols[link.id]] = link.capacity_gbps / link.p_first_max
             lp.add_constraint(row, Relation.GE, 0.0)
         else:
-            # |B_i| D_B <= C_i
+            # demand carried by link i <= C_i
             lp.add_constraint(row, Relation.GE, -link.capacity_gbps)
     if with_p:
         _add_p_constraints(lp, topology, setting, vmap)
+    if floors:
+        for b, floor in floors.items():
+            if floor > 0.0:
+                lp.set_bounds(demand_cols[b], floor, math.inf)
     return lp, vmap
+
+
+def build_equal_demand_lp(
+    topology: NetworkTopology, setting: Setting
+) -> tuple[LinearProgram, _VarMap]:
+    """maximize D_B, every small BS demanding D_B."""
+    cols = dict.fromkeys(topology.small_bs_ids(), 0)
+    return _build_demand_lp(topology, setting, ["D_B"], cols)
 
 
 def build_aggregate_lp(
@@ -221,82 +243,26 @@ def build_aggregate_lp(
     floors: dict[int, float] | None = None,
 ) -> tuple[LinearProgram, _VarMap]:
     """maximize sum of per-BS demands, optionally with per-BS floors."""
-    _check_topology(topology, setting)
-    with_p = _needs_p_vars(setting)
     small = topology.small_bs_ids()
-
-    names = []
-    vmap = _VarMap()
-    for b in small:
-        vmap.demand_cols[b] = len(names)
-        names.append(f"D[{b}]")
-    if with_p:
-        for link in topology.links:
-            vmap.p_cols[link.id] = len(names)
-            names.append(f"p_f[{link.id}]")
-    lp = LinearProgram(len(names), names)
-    obj = [0.0] * lp.num_vars
-    for b in small:
-        obj[vmap.demand_cols[b]] = 1.0
-    lp.set_objective(obj)
-
-    for link in topology.links:
-        row = [0.0] * lp.num_vars
-        for b in subtree_bs_set(topology, link.child):
-            row[vmap.demand_cols[b]] = -1.0
-        if with_p:
-            row[vmap.p_cols[link.id]] = link.capacity_gbps / link.p_first_max
-            lp.add_constraint(row, Relation.GE, 0.0)
-        else:
-            lp.add_constraint(row, Relation.GE, -link.capacity_gbps)
-    if with_p:
-        _add_p_constraints(lp, topology, setting, vmap)
-    if floors:
-        for b, floor in floors.items():
-            if floor > 0.0:
-                lp.set_bounds(vmap.demand_cols[b], floor, math.inf)
-    return lp, vmap
-
-
-def _derived_p_first(
-    topology: NetworkTopology, subtree_demand: dict[int, float]
-) -> dict[int, float]:
-    """Smallest feasible active fractions for given per-link carried demand."""
-    out = {}
-    for link in topology.links:
-        p = link.p_first_max * subtree_demand[link.id] / link.capacity_gbps
-        out[link.id] = min(max(p, 0.0), link.p_first_max)
-    return out
+    names = [f"D[{b}]" for b in small]
+    cols = {b: i for i, b in enumerate(small)}
+    return _build_demand_lp(topology, setting, names, cols, floors)
 
 
 def _decode(
-    topology: NetworkTopology,
-    setting: Setting,
-    vmap: _VarMap,
-    assignment,
-    objective: Objective,
+    topology: NetworkTopology, vmap: _VarMap, assignment, objective: Objective
 ) -> DemandSolution:
-    sizes = _subtree_sizes(topology)
-    if vmap.shared_demand:
-        d_b = float(assignment[0])
-        per_bs = {b: d_b for b in topology.small_bs_ids()}
-        subtree = {l.id: sizes[l.id] * d_b for l in topology.links}
-        d_b_field = d_b
-    else:
-        per_bs = {b: max(float(assignment[c]), 0.0) for b, c in vmap.demand_cols.items()}
-        subtree = {
-            l.id: sum(per_bs[b] for b in subtree_bs_set(topology, l.child))
-            for l in topology.links
-        }
-        d_b_field = None
-
-    if vmap.p_cols:
-        p_first = {}
-        for link in topology.links:
+    demand = {c: max(float(assignment[c]), 0.0) for c in vmap.demand_cols.values()}
+    per_bs = {b: demand[c] for b, c in vmap.demand_cols.items()}
+    p_first = {}
+    for link in topology.links:
+        if vmap.p_cols:
             p = float(assignment[vmap.p_cols[link.id]])
-            p_first[link.id] = min(max(p, 0.0), link.p_first_max)
-    else:
-        p_first = _derived_p_first(topology, subtree)
+        else:
+            # smallest feasible fraction for the demand the link carries
+            carried = sum(count * demand[c] for c, count in vmap.carried[link.id].items())
+            p = link.p_first_max * carried / link.capacity_gbps
+        p_first[link.id] = min(max(p, 0.0), link.p_first_max)
     p_last = {
         l.id: p_first[l.id] * l.p_last_max / l.p_first_max for l in topology.links
     }
@@ -305,7 +271,7 @@ def _decode(
         per_bs=per_bs,
         p_first=p_first,
         p_last=p_last,
-        d_b_gbps=d_b_field,
+        d_b_gbps=float(assignment[0]) if objective is Objective.EQUAL_DEMAND else None,
     )
 
 
@@ -316,7 +282,7 @@ def solve_equal_demand(topology: NetworkTopology, setting: Setting) -> DemandSol
         # D_B = 0 with zero fractions is always feasible and the objective is
         # capped by every link capacity, so anything else is a solver defect
         raise SolverFailure(f"equal-demand LP was {sol.status.value}")
-    out = _decode(topology, setting, vmap, sol.assignment, Objective.EQUAL_DEMAND)
+    out = _decode(topology, vmap, sol.assignment, Objective.EQUAL_DEMAND)
     out.lp_iterations = sol.iterations
     return out
 
@@ -349,11 +315,7 @@ def solve_aggregate(
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverFailure(f"aggregate LP was {sol.status.value}")
     out = _decode(
-        topology,
-        setting,
-        vmap,
-        sol.assignment,
-        Objective.AGGREGATE_FAIR if fair else Objective.AGGREGATE,
+        topology, vmap, sol.assignment, Objective.AGGREGATE_FAIR if fair else Objective.AGGREGATE
     )
     out.fair_floor_gbps = floor_val
     out.lp_iterations = sol.iterations
@@ -396,10 +358,6 @@ def min_radio_chains(topology: NetworkTopology, p_first: dict[int, float]) -> di
     return out
 
 
-def demands_of(solution: DemandSolution) -> TrafficDemand:
-    return TrafficDemand(dict(solution.per_bs))
-
-
 def solution_to_dict(topology: NetworkTopology, solution: DemandSolution) -> dict:
     from backhaulopt.validator import jain_index  # local import, no cycle at module load
 
@@ -425,14 +383,23 @@ def solution_from_dict(data: dict) -> DemandSolution:
         p_first = {int(i): float(v) for i, v in data["p_first"].items()}
         p_last = {int(i): float(v) for i, v in data["p_last"].items()}
         d_b = data.get("d_b_gbps")
+        d_b = None if d_b is None else float(d_b)
         floor = data.get("fair_floor_gbps")
+        floor = None if floor is None else float(floor)
     except (KeyError, TypeError, ValueError) as exc:
         raise InconsistentInput(f"solution JSON does not match schema: {exc}") from exc
+    for name, values in (("per_bs", per_bs), ("p_first", p_first), ("p_last", p_last)):
+        bad = next((k for k, v in values.items() if not math.isfinite(v)), None)
+        if bad is not None:
+            raise NonFiniteInput(f"solution {name}[{bad}]={values[bad]} is not a finite number")
+    for name, v in (("d_b_gbps", d_b), ("fair_floor_gbps", floor)):
+        if v is not None and not math.isfinite(v):
+            raise NonFiniteInput(f"solution {name}={v} is not a finite number")
     return DemandSolution(
         objective=objective,
         per_bs=per_bs,
         p_first=p_first,
         p_last=p_last,
-        d_b_gbps=None if d_b is None else float(d_b),
-        fair_floor_gbps=None if floor is None else float(floor),
+        d_b_gbps=d_b,
+        fair_floor_gbps=floor,
     )

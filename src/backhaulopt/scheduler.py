@@ -26,8 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from backhaulopt.errors import InconsistentInput, MissingLink, NonFiniteInput, PlacementFailure
-from backhaulopt.model import NetworkTopology
+from backhaulopt.errors import (
+    InconsistentInput,
+    InvalidTopology,
+    MissingLink,
+    NonFiniteInput,
+    PlacementFailure,
+)
+from backhaulopt.model import NetworkTopology, validate_interference_model
 
 GRID = 10**12
 # Placement may come up short by LP round-off; anything within this many grid
@@ -276,8 +282,13 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
 
     Raises PlacementFailure when some link's active time cannot be packed
     onto the available radio chains (possible in limited-radio-chain
-    settings; the LP bound is then reported as unrealized).
+    settings; the LP bound is then reported as unrealized). Raises
+    InvalidTopology when the interference pairs break the one-partner-per-BS
+    rule that the pairwise placement relies on.
     """
+    violations = validate_interference_model(topology)
+    if violations:
+        raise InvalidTopology(violations)
     state = _State(topology)
     plans = {l.id: _plan_for(l, p_first) for l in topology.links}
 

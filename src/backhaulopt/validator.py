@@ -202,7 +202,8 @@ def validate_schedule(
             )
         if p_first is not None:
             expected = float(p_first.get(link.id, 0.0))
-            if abs(pf - expected) > TOL_INTERVAL:
+            # negated passing test, so a NaN on either side is flagged
+            if not abs(pf - expected) <= TOL_INTERVAL:
                 add(
                     "RatioMismatch",
                     f"link {link.id} first-link active {pf:.12f} != solution {expected:.12f}",
@@ -250,7 +251,7 @@ def validate_schedule(
                 continue
             need = traffic.subtree_demand(topology, link.id)
             have = report.realized_rates[link.id]
-            if have < need - TOL_RATE:
+            if not have >= need - TOL_RATE:
                 add(
                     "CapacityShortfall",
                     f"link {link.id} realizes {have:.9f} Gbps of {need:.9f} needed",

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from backhaulopt import cli
 from backhaulopt.cli import main
 from backhaulopt.experiment import (
     OBJECTIVE_NAMES,
@@ -107,6 +108,49 @@ def test_cli_non_finite_input_exits_3(tmp_path, capsys):
     topo.write_text(json.dumps(data))
     assert main(["solve", str(topo), "--setting", "MI-ER"]) == 3
     assert "finite" in capsys.readouterr().err
+
+
+def test_cli_validate_rejects_nan_solution(tmp_path, capsys):
+    topo, sol, sched = (tmp_path / n for n in ("t.json", "s.json", "f.json"))
+    main(["generate", "--seed", "4", "--out", str(topo)])
+    main(["solve", str(topo), "--setting", "MI-ER", "--out", str(sol)])
+    main(["schedule", str(topo), str(sol), "--out", str(sched)])
+    data = json.loads(sol.read_text())
+    for key in ("p_first", "per_bs"):
+        data[key] = dict.fromkeys(data[key], float("nan"))
+    sol.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["validate", str(topo), str(sol), str(sched)]) == 3
+    captured = capsys.readouterr()
+    assert "schedule OK" not in captured.out
+    assert "finite" in captured.err
+
+
+def test_cli_schedule_rejects_too_many_partners(tmp_path, capsys):
+    topo, sol = tmp_path / "t.json", tmp_path / "s.json"
+    main(["generate", "--seed", "4", "--small-bs", "3", "--macro-degree", "3",
+          "--max-children", "0", "--out", str(topo)])
+    main(["solve", str(topo), "--setting", "MI-ER", "--out", str(sol)])
+    data = json.loads(topo.read_text())
+    data["interference"] = [[1, 2], [2, 3]]
+    topo.write_text(json.dumps(data))
+    assert main(["schedule", str(topo), str(sol)]) == 2
+    assert "TooManyPartnersAtBS" in capsys.readouterr().err
+
+
+def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    topo = tmp_path / "t.json"
+    main(["generate", "--seed", "4", "--out", str(topo)])
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "solve_objective", broken)
+    capsys.readouterr()
+    assert main(["solve", str(topo), "--setting", "MI-ER"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 def test_cli_infeasible_exit_codes(tmp_path, capsys):

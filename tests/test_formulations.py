@@ -1,5 +1,8 @@
 """Demand maximization programs against closed forms and enumeration."""
 
+import copy
+import hashlib
+
 import pytest
 
 import helpers
@@ -9,12 +12,16 @@ from backhaulopt.errors import (
     InfeasibleFloor,
     InterferenceNotMinimal,
     InvalidTopology,
+    NonFiniteInput,
 )
+from backhaulopt.experiment import SETTING_NAMES
 from backhaulopt.formulations import (
     Interference,
     Objective,
     RadioChains,
     Setting,
+    build_aggregate_lp,
+    build_equal_demand_lp,
     min_radio_chains,
     parse_setting,
     solution_from_dict,
@@ -23,7 +30,12 @@ from backhaulopt.formulations import (
     solve_equal_demand,
     solve_objective,
 )
-from backhaulopt.generator import adapt_topology, strip_interference
+from backhaulopt.generator import (
+    GeneratorConfig,
+    adapt_topology,
+    generate_topology,
+    strip_interference,
+)
 
 MI_ER = Setting(Interference.MINIMAL, RadioChains.ENOUGH)
 LI_ER = Setting(Interference.LIMITED, RadioChains.ENOUGH)
@@ -193,3 +205,77 @@ def test_solution_dict_round_trip():
     assert back.p_first == sol.p_first
     with pytest.raises(InconsistentInput):
         solution_from_dict({"objective": "equal_demand"})
+
+
+def test_solution_from_dict_rejects_non_finite_numbers():
+    topo = helpers.chain(hops=(2, 3))
+    data = solution_to_dict(topo, solve_aggregate(topo, MI_ER, fair=True))
+    for field in ("per_bs", "p_first", "p_last", "d_b_gbps", "fair_floor_gbps"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            bad = copy.deepcopy(data)
+            if isinstance(bad[field], dict):
+                bad[field]["1"] = value
+            else:
+                bad[field] = value
+            with pytest.raises(NonFiniteInput, match=field):
+                solution_from_dict(bad)
+
+
+# -- frozen LPs and decodes --------------------------------------------------
+
+_FREEZE_TREES = [  # (seed, small BSs, macro degree, interference pair budget)
+    (1, 1, 1, 0),
+    (4, 2, 1, 1),
+    (5, 5, 2, 2),
+    (7, 12, 3, 4),
+    (2027, 20, 8, 6),
+]
+
+
+def _hash_lp(digest, lp):
+    digest.update("|".join(lp.names).encode())
+    for array in (lp.objective, lp.lower, lp.upper):
+        digest.update(array.tobytes())
+    for con in lp.constraints:
+        digest.update(con.coeffs.tobytes())
+        digest.update(f"{con.relation.value}{con.rhs.hex()}".encode())
+
+
+def _hash_values(digest, label, values):
+    text = ",".join(f"{k}:{float(v).hex()}" for k, v in sorted(values.items()))
+    digest.update(f"{label}[{text}]".encode())
+
+
+def test_demand_lps_and_decodes_frozen():
+    # builds of both programs (with and without floors) and decoded optima of
+    # all three objectives, byte for byte; recorded before the two builders
+    # were merged into one
+    digest = hashlib.sha256()
+    for seed, n, degree, pairs in _FREEZE_TREES:
+        base = generate_topology(
+            GeneratorConfig(
+                seed=seed,
+                num_small_bs=n,
+                macro_degree=degree,
+                interference_pair_budget=pairs,
+            )
+        )
+        bare = strip_interference(base)
+        for name in SETTING_NAMES:
+            setting, k = parse_setting(name)
+            src = bare if setting.interference is Interference.MINIMAL else base
+            topo = adapt_topology(src, setting, macro_chains=k)
+            _hash_lp(digest, build_equal_demand_lp(topo, setting)[0])
+            _hash_lp(digest, build_aggregate_lp(topo, setting)[0])
+            small = topo.small_bs_ids()
+            floors = {b: 0.25 * (1 + i % 3) for i, b in enumerate(small)}
+            _hash_lp(digest, build_aggregate_lp(topo, setting, floors)[0])
+            for objective in Objective:
+                sol = solve_objective(topo, setting, objective)
+                _hash_values(digest, "per_bs", sol.per_bs)
+                _hash_values(digest, "p_first", sol.p_first)
+                d_b = "None" if sol.d_b_gbps is None else sol.d_b_gbps.hex()
+                digest.update(f"d_b={d_b}".encode())
+    assert digest.hexdigest() == (
+        "7a602808268829470dab3bbec9e39592728a8b5299ed42b3705170d42146f99f"
+    )

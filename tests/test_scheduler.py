@@ -3,7 +3,13 @@
 import pytest
 
 import helpers
-from backhaulopt.errors import InconsistentInput, MissingLink, NonFiniteInput, PlacementFailure
+from backhaulopt.errors import (
+    InconsistentInput,
+    InvalidTopology,
+    MissingLink,
+    NonFiniteInput,
+    PlacementFailure,
+)
 from backhaulopt.formulations import Interference, parse_setting, solve_equal_demand
 from backhaulopt.generator import adapt_topology, strip_interference
 from backhaulopt.scheduler import (
@@ -106,6 +112,13 @@ def test_non_finite_p_first_rejected():
     for value in (float("nan"), float("inf")):
         with pytest.raises(NonFiniteInput):
             build_schedule(topo, {1: value, 2: 0.5})
+
+
+def test_too_many_partners_raises_invalid_topology():
+    # link 2 has two partners at the macro BS; pairwise placement needs one
+    topo = helpers.star(3, hop=1, pairs=[(1, 2), (2, 3)])
+    with pytest.raises(InvalidTopology, match="TooManyPartnersAtBS"):
+        build_schedule(topo, {1: 0.3, 2: 0.3, 3: 0.3})
 
 
 def test_empty_demand_schedules_cleanly():

@@ -157,6 +157,16 @@ def test_nan_intervals_are_flagged():
     assert {"FootprintMismatch", "ActiveOutsideFootprint"} <= _kinds(report)
 
 
+def test_nan_solution_is_flagged():
+    # a NaN p_first or demand must fail its check, not slip past a `>` test
+    topo = helpers.chain(hops=(2, 1))
+    sol, sched = _solved(topo)
+    nan = float("nan")
+    p_first, demands = dict.fromkeys(sol.p_first, nan), dict.fromkeys(sol.per_bs, nan)
+    report = validate_schedule(topo, sched, p_first=p_first, demands=demands)
+    assert {"RatioMismatch", "CapacityShortfall"} <= _kinds(report)
+
+
 def test_jain_index_values():
     assert jain_index([1.0, 1.0, 1.0, 1.0]) == 1.0  # exact, not approx
     assert jain_index([5.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25, abs=1e-12)

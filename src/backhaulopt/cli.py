@@ -128,7 +128,12 @@ def cmd_validate(args) -> int:
     solution = solution_from_dict(_load_json(args.solution))
     schedule = schedule_from_dict(_load_json(args.schedule))
     report = validate_schedule(
-        topology, schedule, p_first=solution.p_first, demands=solution.per_bs
+        topology,
+        schedule,
+        p_first=solution.p_first,
+        demands=solution.per_bs,
+        p_last=solution.p_last,
+        d_b_gbps=solution.d_b_gbps,
     )
     for violation in report.violations:
         print(violation)

@@ -9,6 +9,10 @@ the aggregate objectives) and the active-time fraction p_f[i] of each
 link's first physical link. The last physical link's fraction is not a
 variable: allocating it beyond p_f[i] * P_l/P_f is useless, so it is
 eliminated through that identity.
+
+The aggregate objectives are solved by the simplex. The equal-demand
+optimum has a closed form, which solve_equal_demand computes directly;
+build_equal_demand_lp still builds its LP, the route tests check it against.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ def parse_setting(name: str) -> tuple[Setting, int | None]:
 
 @dataclass
 class DemandSolution:
-    """Decoded LP optimum: demands plus the link schedule fractions."""
+    """A demand optimum: demands plus the link schedule fractions."""
 
     objective: Objective
     per_bs: dict[int, float]
@@ -249,6 +253,10 @@ def build_aggregate_lp(
     return _build_demand_lp(topology, setting, names, cols, floors)
 
 
+def _p_last(topology: NetworkTopology, p_first: dict[int, float]) -> dict[int, float]:
+    return {l.id: p_first[l.id] * l.p_last_max / l.p_first_max for l in topology.links}
+
+
 def _decode(
     topology: NetworkTopology, vmap: _VarMap, assignment, objective: Objective
 ) -> DemandSolution:
@@ -263,28 +271,70 @@ def _decode(
             carried = sum(count * demand[c] for c, count in vmap.carried[link.id].items())
             p = link.p_first_max * carried / link.capacity_gbps
         p_first[link.id] = min(max(p, 0.0), link.p_first_max)
-    p_last = {
-        l.id: p_first[l.id] * l.p_last_max / l.p_first_max for l in topology.links
-    }
     return DemandSolution(
         objective=objective,
         per_bs=per_bs,
         p_first=p_first,
-        p_last=p_last,
+        p_last=_p_last(topology, p_first),
         d_b_gbps=float(assignment[0]) if objective is Objective.EQUAL_DEMAND else None,
     )
 
 
+def _subtree_sizes(topology: NetworkTopology) -> dict[int, int]:
+    """Link id -> small BSs in the subtree it feeds, from one walk of the tree."""
+    order = [topology.macro.id]
+    for bs in order:  # grows while it is read: a breadth-first walk
+        order.extend(link.child for link in topology.child_links(bs))
+    size = dict.fromkeys(order, 1)
+    for bs in reversed(order[1:]):
+        size[topology.link(bs).parent] += size[bs]
+    return {link.id: size[link.child] for link in topology.links}
+
+
 def solve_equal_demand(topology: NetworkTopology, setting: Setting) -> DemandSolution:
-    lp, vmap = build_equal_demand_lp(topology, setting)
-    sol = solve(lp)
-    if sol.status is not LpStatus.OPTIMAL:
-        # D_B = 0 with zero fractions is always feasible and the objective is
-        # capped by every link capacity, so anything else is a solver defect
-        raise SolverFailure(f"equal-demand LP was {sol.status.value}")
-    out = _decode(topology, vmap, sol.assignment, Objective.EQUAL_DEMAND)
-    out.lp_iterations = sol.iterations
-    return out
+    """Largest demand D_B that every small BS can get at once, in closed form.
+
+    Every constraint of the equal-demand program apart from the demand rows
+    has nonnegative coefficients on the fractions, so the cheapest feasible
+    choice for demand D is p_i = P_i^f |B_i| D / C_i, and each constraint
+    family becomes an upper bound on D: C_i/|B_i| per link, one per
+    interference pair under LI, one per BS under LR. D_B is the smallest.
+    No LP is solved, so lp_iterations is 0; build_equal_demand_lp keeps the
+    same program for an independent check.
+    """
+    _check_topology(topology, setting)
+    size = _subtree_sizes(topology)
+    # p_i / P_i^f per Gbps of D at the cheapest fractions
+    load = {link.id: size[link.id] / link.capacity_gbps for link in topology.links}
+    bounds = [link.capacity_gbps / size[link.id] for link in topology.links]
+    if setting.interference is Interference.LIMITED:
+        # p_a/P_a + p_b/P_b <= 1
+        bounds.extend(1.0 / (load[a] + load[b]) for a, b in topology.interference_pairs)
+    if setting.radio_chains is RadioChains.LIMITED:
+        # inbound last-link time plus the child links' first-link time
+        for s in topology.stations:
+            inbound = topology.inbound_link(s.id)
+            total = 0.0 if inbound is None else inbound.p_last_max * load[inbound.id]
+            for child in topology.child_links(s.id):
+                total += child.p_first_max * load[child.id]
+            if total > 0.0:
+                bounds.append(s.radio_chains / total)
+    d_b = min(bounds)
+
+    p_first = {
+        link.id: min(
+            max(link.p_first_max * (size[link.id] * d_b) / link.capacity_gbps, 0.0),
+            link.p_first_max,
+        )
+        for link in topology.links
+    }
+    return DemandSolution(
+        objective=Objective.EQUAL_DEMAND,
+        per_bs=dict.fromkeys(topology.small_bs_ids(), d_b),
+        p_first=p_first,
+        p_last=_p_last(topology, p_first),
+        d_b_gbps=d_b,
+    )
 
 
 def solve_aggregate(
@@ -307,6 +357,10 @@ def solve_aggregate(
             floor_val = solve_equal_demand(topology, setting).d_b_gbps
         else:
             floor_val = float(fair_floor)
+            if not math.isfinite(floor_val):
+                raise NonFiniteInput(f"fair floor {floor_val} is not a finite number")
+            if floor_val < 0.0:
+                raise InconsistentInput(f"fair floor {floor_val} is negative")
         floors = {b: floor_val for b in topology.small_bs_ids()}
     lp, vmap = build_aggregate_lp(topology, setting, floors)
     sol = solve(lp)
@@ -376,6 +430,12 @@ def solution_to_dict(topology: NetworkTopology, solution: DemandSolution) -> dic
     }
 
 
+def _reject_number(label: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise NonFiniteInput(f"solution {label}={value} is not a finite number")
+    raise InconsistentInput(f"solution {label}={value} is negative")
+
+
 def solution_from_dict(data: dict) -> DemandSolution:
     try:
         objective = Objective(data["objective"])
@@ -388,13 +448,14 @@ def solution_from_dict(data: dict) -> DemandSolution:
         floor = None if floor is None else float(floor)
     except (KeyError, TypeError, ValueError) as exc:
         raise InconsistentInput(f"solution JSON does not match schema: {exc}") from exc
+    # demands and active-time fractions are finite and never negative
     for name, values in (("per_bs", per_bs), ("p_first", p_first), ("p_last", p_last)):
-        bad = next((k for k, v in values.items() if not math.isfinite(v)), None)
-        if bad is not None:
-            raise NonFiniteInput(f"solution {name}[{bad}]={values[bad]} is not a finite number")
+        for k, v in values.items():
+            if not (math.isfinite(v) and v >= 0.0):
+                _reject_number(f"{name}[{k}]", v)
     for name, v in (("d_b_gbps", d_b), ("fair_floor_gbps", floor)):
-        if v is not None and not math.isfinite(v):
-            raise NonFiniteInput(f"solution {name}={v} is not a finite number")
+        if v is not None and not (math.isfinite(v) and v >= 0.0):
+            _reject_number(name, v)
     return DemandSolution(
         objective=objective,
         per_bs=per_bs,

@@ -18,9 +18,10 @@ Violation kinds:
   simultaneously (impossible for a store-and-forward pipeline).
 * InterferenceOverlap: two interfering links have overlapping footprints.
 * RatioMismatch: first- and last-link active times are inconsistent with
-  each other, or with the p_first values being validated against.
+  each other, or with the p_first values being validated against, or a
+  solution's p_last does not follow from its p_first.
 * CapacityShortfall: the realized link rate cannot carry the demand routed
-  through it.
+  through it, or the schedule realizes less equal demand than claimed.
 * MissingLink / UnknownLink: schedule entries absent for a topology link or
   present for a nonexistent one.
 
@@ -116,12 +117,17 @@ def validate_schedule(
     schedule: Schedule,
     p_first: dict[int, float] | None = None,
     demands: dict[int, float] | None = None,
+    p_last: dict[int, float] | None = None,
+    d_b_gbps: float | None = None,
 ) -> ValidationReport:
     """Check a frame schedule against every feasibility rule.
 
     p_first, when given, pins the expected first-link active time per link;
     demands (Gbps per small BS) additionally require each link's realized
-    rate to carry its subtree traffic.
+    rate to carry its subtree traffic. p_last, when given, must equal
+    p_first * P_l/P_f, with the schedule's first-link time standing in for
+    p_first when that is not given; d_b_gbps, an equal demand the schedule
+    claims to serve, must not exceed the realized equal demand.
     """
     report = ValidationReport()
 
@@ -208,6 +214,16 @@ def validate_schedule(
                     "RatioMismatch",
                     f"link {link.id} first-link active {pf:.12f} != solution {expected:.12f}",
                 )
+        if p_last is not None:
+            first = pf if p_first is None else float(p_first.get(link.id, 0.0))
+            expected = first * link.p_last_max / link.p_first_max
+            got = float(p_last.get(link.id, 0.0))
+            if not abs(got - expected) <= TOL_INTERVAL:
+                add(
+                    "RatioMismatch",
+                    f"link {link.id} solution last-link fraction {got:.12f} != "
+                    f"first-link fraction x P_l/P_f {expected:.12f}",
+                )
 
         rate = min(pf / link.p_first_max, pl / link.p_last_max) * link.capacity_gbps
         report.realized_rates[link.id] = rate
@@ -242,6 +258,12 @@ def validate_schedule(
         report.realized_equal_demand = min(
             report.realized_rates.get(l.id, 0.0) / len(subtree_bs_set(topology, l.child))
             for l in topology.links
+        )
+    if d_b_gbps is not None and not d_b_gbps <= report.realized_equal_demand + TOL_RATE:
+        add(
+            "CapacityShortfall",
+            f"equal demand {d_b_gbps:.9f} Gbps exceeds the realized "
+            f"{report.realized_equal_demand:.9f}",
         )
 
     if demands is not None:

@@ -1,5 +1,6 @@
 """Batch runner outputs and the command line front end."""
 
+import copy
 import csv
 import json
 
@@ -126,6 +127,38 @@ def test_cli_validate_rejects_nan_solution(tmp_path, capsys):
     assert "finite" in captured.err
 
 
+def test_cli_validate_rejects_negative_demands(tmp_path, capsys):
+    topo, sol, sched = (tmp_path / n for n in ("t.json", "s.json", "f.json"))
+    main(["generate", "--seed", "4", "--out", str(topo)])
+    main(["solve", str(topo), "--setting", "MI-ER", "--out", str(sol)])
+    main(["schedule", str(topo), str(sol), "--out", str(sched)])
+    data = json.loads(sol.read_text())
+    data["per_bs"] = dict.fromkeys(data["per_bs"], -5.0)
+    sol.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["validate", str(topo), str(sol), str(sched)]) == 3
+    captured = capsys.readouterr()
+    assert "schedule OK" not in captured.out
+    assert "negative" in captured.err
+
+
+def test_cli_validate_reads_p_last_and_d_b(tmp_path, capsys):
+    topo, sol, sched = (tmp_path / n for n in ("t.json", "s.json", "f.json"))
+    main(["generate", "--seed", "4", "--out", str(topo)])
+    main(["solve", str(topo), "--setting", "MI-ER", "--out", str(sol)])
+    main(["schedule", str(topo), str(sol), "--out", str(sched)])
+    clean = json.loads(sol.read_text())
+    for key, value, kind in (("p_last", 0.99, "RatioMismatch"),
+                             ("d_b_gbps", 1e6, "CapacityShortfall")):
+        data = copy.deepcopy(clean)
+        data[key] = dict.fromkeys(data[key], value) if key == "p_last" else value
+        sol.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["validate", str(topo), str(sol), str(sched)]) == 1, key
+        out = capsys.readouterr().out
+        assert f"{kind}(" in out and "schedule OK" not in out
+
+
 def test_cli_schedule_rejects_too_many_partners(tmp_path, capsys):
     topo, sol = tmp_path / "t.json", tmp_path / "s.json"
     main(["generate", "--seed", "4", "--small-bs", "3", "--macro-degree", "3",
@@ -186,7 +219,8 @@ def test_cli_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         _kernel_py, "run_pivots", lambda tableau, basis, *args: (_kernel_py.ITERATION_LIMIT, 0)
     )
-    assert main(["solve", str(topo), "--setting", "LI-LR(2)"]) == 3
+    # equal demand has a closed form; the aggregate objectives still pivot
+    assert main(["solve", str(topo), "--setting", "LI-LR(2)", "--objective", "aggregate"]) == 3
     assert "iteration limit" in capsys.readouterr().err
 
 

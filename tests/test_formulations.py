@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from backhaulopt.formulations import (
     Objective,
     RadioChains,
     Setting,
+    _decode,
     build_aggregate_lp,
     build_equal_demand_lp,
     min_radio_chains,
@@ -36,6 +38,8 @@ from backhaulopt.generator import (
     generate_topology,
     strip_interference,
 )
+from backhaulopt.lp import LpStatus, solve
+from backhaulopt.model import NetworkTopology, make_link
 
 MI_ER = Setting(Interference.MINIMAL, RadioChains.ENOUGH)
 LI_ER = Setting(Interference.LIMITED, RadioChains.ENOUGH)
@@ -221,6 +225,30 @@ def test_solution_from_dict_rejects_non_finite_numbers():
                 solution_from_dict(bad)
 
 
+def test_solution_from_dict_rejects_negative_numbers():
+    topo = helpers.chain(hops=(2, 3))
+    data = solution_to_dict(topo, solve_aggregate(topo, MI_ER, fair=True))
+    for field in ("per_bs", "p_first", "p_last", "d_b_gbps", "fair_floor_gbps"):
+        bad = copy.deepcopy(data)
+        if isinstance(bad[field], dict):
+            bad[field]["1"] = -5.0
+        else:
+            bad[field] = -5.0
+        with pytest.raises(InconsistentInput, match=f"{field}.*negative"):
+            solution_from_dict(bad)
+    data["per_bs"]["1"] = -0.0  # what max(x, 0.0) can leave behind
+    assert solution_from_dict(data).per_bs[1] == 0.0
+
+
+def test_explicit_fair_floor_must_be_a_nonnegative_number():
+    topo = helpers.star(2, hop=1)
+    with pytest.raises(InconsistentInput, match="negative"):
+        solve_aggregate(topo, MI_ER, fair=True, fair_floor=-1.0)
+    with pytest.raises(NonFiniteInput):
+        solve_aggregate(topo, MI_ER, fair=True, fair_floor=float("nan"))
+    assert solve_aggregate(topo, MI_ER, fair=True, fair_floor=0.0).fair_floor_gbps == 0.0
+
+
 # -- frozen LPs and decodes --------------------------------------------------
 
 _FREEZE_TREES = [  # (seed, small BSs, macro degree, interference pair budget)
@@ -230,6 +258,29 @@ _FREEZE_TREES = [  # (seed, small BSs, macro degree, interference pair budget)
     (7, 12, 3, 4),
     (2027, 20, 8, 6),
 ]
+
+
+def _setting_cases(base):
+    """(topology, setting) for one tree under all six settings."""
+    bare = strip_interference(base)
+    for name in SETTING_NAMES:
+        setting, k = parse_setting(name)
+        src = bare if setting.interference is Interference.MINIMAL else base
+        yield adapt_topology(src, setting, macro_chains=k), setting
+
+
+def _freeze_cases():
+    """(topology, setting) for every freeze tree under all six settings."""
+    for seed, n, degree, pairs in _FREEZE_TREES:
+        base = generate_topology(
+            GeneratorConfig(
+                seed=seed,
+                num_small_bs=n,
+                macro_degree=degree,
+                interference_pair_budget=pairs,
+            )
+        )
+        yield from _setting_cases(base)
 
 
 def _hash_lp(digest, lp):
@@ -247,35 +298,121 @@ def _hash_values(digest, label, values):
 
 
 def test_demand_lps_and_decodes_frozen():
-    # builds of both programs (with and without floors) and decoded optima of
-    # all three objectives, byte for byte; recorded before the two builders
-    # were merged into one
+    # builds of both programs (with and without floors) and the decoded
+    # aggregate optimum, byte for byte; recorded before equal demand moved
+    # to its closed form, whose decodes test_closed_form_matches_the_lp_route
+    # checks against the LP instead
     digest = hashlib.sha256()
-    for seed, n, degree, pairs in _FREEZE_TREES:
-        base = generate_topology(
-            GeneratorConfig(
-                seed=seed,
-                num_small_bs=n,
-                macro_degree=degree,
-                interference_pair_budget=pairs,
-            )
-        )
-        bare = strip_interference(base)
-        for name in SETTING_NAMES:
-            setting, k = parse_setting(name)
-            src = bare if setting.interference is Interference.MINIMAL else base
-            topo = adapt_topology(src, setting, macro_chains=k)
-            _hash_lp(digest, build_equal_demand_lp(topo, setting)[0])
-            _hash_lp(digest, build_aggregate_lp(topo, setting)[0])
-            small = topo.small_bs_ids()
-            floors = {b: 0.25 * (1 + i % 3) for i, b in enumerate(small)}
-            _hash_lp(digest, build_aggregate_lp(topo, setting, floors)[0])
-            for objective in Objective:
-                sol = solve_objective(topo, setting, objective)
-                _hash_values(digest, "per_bs", sol.per_bs)
-                _hash_values(digest, "p_first", sol.p_first)
-                d_b = "None" if sol.d_b_gbps is None else sol.d_b_gbps.hex()
-                digest.update(f"d_b={d_b}".encode())
+    for topo, setting in _freeze_cases():
+        _hash_lp(digest, build_equal_demand_lp(topo, setting)[0])
+        _hash_lp(digest, build_aggregate_lp(topo, setting)[0])
+        small = topo.small_bs_ids()
+        floors = {b: 0.25 * (1 + i % 3) for i, b in enumerate(small)}
+        _hash_lp(digest, build_aggregate_lp(topo, setting, floors)[0])
+        sol = solve_aggregate(topo, setting)
+        _hash_values(digest, "per_bs", sol.per_bs)
+        _hash_values(digest, "p_first", sol.p_first)
     assert digest.hexdigest() == (
-        "7a602808268829470dab3bbec9e39592728a8b5299ed42b3705170d42146f99f"
+        "1b06daf9237928ac29e08216251e22e1a7092333cf6af8d536c080cc5f0467d9"
     )
+
+
+# -- the closed form against the LP route ------------------------------------
+
+_ROUTE_TREES = 180  # generated trees beyond the freeze trees, x 6 settings
+_PROFILE_TREES = 40  # trees whose links get random capacities and duty limits
+
+
+def _random_tree(seed, max_small):
+    rng = random.Random(seed)
+    n = 1 + seed % max_small
+    degree = rng.randint(1, min(n, 8))
+    tree = generate_topology(
+        GeneratorConfig(
+            seed=seed,
+            num_small_bs=n,
+            macro_degree=degree,
+            max_small_children=rng.randint(1 if n > degree else 0, 3),
+            interference_pair_budget=rng.randint(0, n),
+        )
+    )
+    return tree, rng
+
+
+def _random_profiles(topo, rng):
+    """The same tree with every link's capacity, P_f and P_l redrawn.
+
+    Generated links always have P_l = P_f; these do not, so a bound that
+    mixes the two up shows.
+    """
+    links = [
+        make_link(
+            l.id, l.parent, l.child, l.hop_count,
+            capacity_gbps=rng.uniform(0.5, 20.0),
+            p_first_max=rng.uniform(0.2, 1.0),
+            p_last_max=rng.uniform(0.2, 1.0),
+        )
+        for l in topo.links
+    ]
+    return NetworkTopology(topo.stations, links, topo.interference_pairs)
+
+
+def _lp_route(topo, setting):
+    lp, vmap = build_equal_demand_lp(topo, setting)
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    return _decode(topo, vmap, sol.assignment, Objective.EQUAL_DEMAND)
+
+
+def _assert_matches_lp_route(topo, setting):
+    """Closed form against the LP route; returns the LP route's decode."""
+    got = solve_equal_demand(topo, setting)
+    want = _lp_route(topo, setting)
+    label = (setting.name, len(topo.links), topo.interference_pairs[:1])
+    assert got.lp_iterations == 0
+    assert got.d_b_gbps == pytest.approx(want.d_b_gbps, rel=1e-15, abs=0.0), label
+    assert got.per_bs.keys() == want.per_bs.keys()
+    for b, value in want.per_bs.items():
+        assert got.per_bs[b] == pytest.approx(value, rel=1e-15, abs=0.0), (label, b)
+    for field in ("p_first", "p_last"):
+        mine, theirs = getattr(got, field), getattr(want, field)
+        assert mine.keys() == theirs.keys()
+        for i, value in theirs.items():
+            assert mine[i] == pytest.approx(value, rel=0.0, abs=1e-15), (label, field, i)
+    for link in topo.links:
+        assert 0.0 <= got.p_first[link.id] <= link.p_first_max, (label, link.id)
+    return want
+
+
+def test_closed_form_matches_the_lp_route():
+    cases = [*_freeze_cases()]
+    for seed in range(_ROUTE_TREES):
+        cases += _setting_cases(_random_tree(seed, 80)[0])
+    assert len(cases) >= 1000
+    for topo, setting in cases:
+        want = _assert_matches_lp_route(topo, setting)
+        fair = solve_aggregate(topo, setting, fair=True)
+        fair_lp = solve_aggregate(topo, setting, fair=True, fair_floor=want.d_b_gbps)
+        assert fair.aggregate_gbps == pytest.approx(
+            fair_lp.aggregate_gbps, rel=1e-15, abs=0.0
+        ), (setting.name, len(topo.links))
+
+
+def test_closed_form_matches_the_lp_route_with_unequal_duty_limits():
+    # no fair-aggregate comparison here: with these profiles the fair LP
+    # alone moves by up to about 1.1e-15 (relative) when its floor moves by
+    # one ulp, which says nothing about the closed form
+    for seed in range(_PROFILE_TREES):
+        tree, rng = _random_tree(seed, 30)
+        for topo, setting in _setting_cases(_random_profiles(tree, rng)):
+            _assert_matches_lp_route(topo, setting)
+
+
+def test_saturated_fraction_is_clamped_to_the_duty_limit():
+    # D = 3.1 / 3 on link 1, and 3 * D rounds to 3.1000000000000005, so the
+    # cheapest fraction P_f * 3 * D / C lands one ulp above P_f = 1
+    topo = helpers.chain(hops=(1, 1, 1), rate=3.1)
+    sol = solve_equal_demand(topo, MI_ER)
+    assert sol.d_b_gbps == 3.1 / 3
+    assert sol.p_first[1] == 1.0
+    assert sol.p_last[1] == 1.0

@@ -1,5 +1,7 @@
 """Property tests: a single bad number in a valid solution or schedule file
-never lets `backhaulopt validate` report a clean schedule or crash."""
+never lets `backhaulopt validate` report a clean schedule or crash, and a
+random valid tree goes through solve, schedule and validate with no
+violations."""
 
 import contextlib
 import copy
@@ -12,10 +14,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backhaulopt.cli import main
+from backhaulopt.errors import PlacementFailure
+from backhaulopt.experiment import SETTING_NAMES
+from backhaulopt.formulations import Interference, RadioChains, parse_setting, solve_equal_demand
+from backhaulopt.generator import (
+    GeneratorConfig,
+    adapt_topology,
+    generate_topology,
+    strip_interference,
+)
+from backhaulopt.scheduler import build_schedule
+from backhaulopt.validator import validate_schedule
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NEGATIVE = st.floats(-10.0, -0.01)
 # well outside the validator's 1e-9 interval tolerance around the frame [0, 1]
-OUT_OF_FRAME = st.floats(-10.0, -0.01) | st.floats(1.01, 10.0)
+OUT_OF_FRAME = NEGATIVE | st.floats(1.01, 10.0)
+# well outside its 1e-9 interval and 1e-6 Gbps rate tolerances
+SHIFT = st.floats(-0.5, -1e-5) | st.floats(1e-5, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -37,13 +53,21 @@ def files(tmp_path_factory):
 def tampers(draw, solution, schedule):
     """(which file, path to one number in it, the bad value)."""
     if draw(st.booleans()):
-        # validate reads p_first against the schedule, so only a frame
-        # fraction has an out-of-frame value; every number may go non-finite
+        # every number may go non-finite or negative; the frame fractions may
+        # leave the frame or move inside it, and d_b may claim more than the
+        # schedule realizes (per_bs may not: a lower demand stays servable)
         field = draw(st.sampled_from(["per_bs", "p_first", "p_last", "d_b_gbps"]))
-        value = draw(NON_FINITE | OUT_OF_FRAME if field == "p_first" else NON_FINITE)
+        path = (field,) if field == "d_b_gbps" else (
+            field, draw(st.sampled_from(sorted(solution[field]))))
+        if field == "per_bs":
+            return "solution", path, draw(NON_FINITE | NEGATIVE)
         if field == "d_b_gbps":
-            return "solution", (field,), value
-        return "solution", (field, draw(st.sampled_from(sorted(solution[field])))), value
+            value = draw(NON_FINITE | NEGATIVE | st.floats(1e-5, 1e6).map(
+                lambda extra: solution["d_b_gbps"] + extra))
+            return "solution", path, value
+        clean = solution[field][path[1]]
+        value = draw(NON_FINITE | OUT_OF_FRAME | SHIFT.map(lambda shift: clean + shift))
+        return "solution", path, value
     link = draw(st.sampled_from(sorted(schedule["links"])))
     entry = schedule["links"][link]
     side = draw(st.sampled_from(["footprint", "parent_side", "child_side"]))
@@ -74,3 +98,46 @@ def test_one_bad_number_never_validates(files, data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         code = main(["validate", topo, paths["solution"], paths["schedule"]])
     assert code in (1, 3), (target, path, value, out.getvalue())
+
+
+@st.composite
+def trees(draw):
+    """A generated tree of at most 30 small BSs and at most n pairs."""
+    n = draw(st.integers(1, 30))
+    degree = draw(st.integers(1, n))
+    return generate_topology(
+        GeneratorConfig(
+            seed=draw(st.integers(0, 2**32 - 1)),
+            num_small_bs=n,
+            macro_degree=degree,
+            max_small_children=draw(st.integers(1 if n > degree else 0, 3)),
+            interference_pair_budget=draw(st.integers(0, n)),
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(base=trees())
+def test_random_trees_round_trip(base):
+    bare = strip_interference(base)
+    for name in SETTING_NAMES:
+        setting, k = parse_setting(name)
+        src = bare if setting.interference is Interference.MINIMAL else base
+        topo = adapt_topology(src, setting, macro_chains=k)
+        sol = solve_equal_demand(topo, setting)
+        try:
+            schedule = build_schedule(topo, sol.p_first)
+        except PlacementFailure:
+            # only a radio-chain budget can make the fractions unplaceable
+            assert setting.radio_chains is RadioChains.LIMITED, name
+            continue
+        report = validate_schedule(
+            topo,
+            schedule,
+            p_first=sol.p_first,
+            demands=sol.per_bs,
+            p_last=sol.p_last,
+            d_b_gbps=sol.d_b_gbps,
+        )
+        assert report.ok, (name, [str(v) for v in report.violations[:3]])
+        assert report.realized_equal_demand >= sol.d_b_gbps - 1e-6, name

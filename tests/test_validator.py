@@ -118,6 +118,30 @@ def test_capacity_shortfall_detected():
     assert "CapacityShortfall" in _kinds(report)
 
 
+def test_solution_p_last_checked_against_p_first():
+    topo = helpers.chain(hops=(2, 1))
+    sol, sched = _solved(topo)
+    clean = validate_schedule(topo, sched, p_first=sol.p_first, p_last=sol.p_last)
+    assert clean.ok
+    for p_first in (sol.p_first, None):  # without p_first, the schedule's time
+        off = {**sol.p_last, 1: sol.p_last[1] + 1e-8}
+        report = validate_schedule(topo, sched, p_first=p_first, p_last=off)
+        assert _kinds(report) == {"RatioMismatch"}
+        assert "last-link fraction" in str(report.violations[0])
+    nan = dict.fromkeys(sol.p_last, float("nan"))
+    assert _kinds(validate_schedule(topo, sched, p_last=nan)) == {"RatioMismatch"}
+
+
+def test_overclaimed_equal_demand_detected():
+    topo = helpers.chain(hops=(2, 1))
+    sol, sched = _solved(topo)
+    assert validate_schedule(topo, sched, d_b_gbps=sol.d_b_gbps).ok
+    for claim in (sol.d_b_gbps + 1e-5, 1e6, float("nan")):
+        report = validate_schedule(topo, sched, d_b_gbps=claim)
+        assert _kinds(report) == {"CapacityShortfall"}, claim
+        assert "exceeds the realized" in str(report.violations[0])
+
+
 def test_missing_and_unknown_links_reported():
     topo = helpers.star(2, hop=1)
     report = validate_schedule(topo, Schedule(links={}, per_bs_chains={}))

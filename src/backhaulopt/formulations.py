@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from backhaulopt import model as _model
@@ -33,7 +34,7 @@ from backhaulopt.errors import (
     SolverFailure,
 )
 from backhaulopt.lp import LinearProgram, LpStatus, Relation, solve
-from backhaulopt.model import NetworkTopology, subtree_bs_set
+from backhaulopt.model import NetworkTopology, subtree_bs_set  # noqa: F401 (perfbench wraps it)
 
 
 class Interference(enum.Enum):
@@ -101,9 +102,8 @@ class DemandSolution:
 
 
 def _check_topology(topology: NetworkTopology, setting: Setting) -> None:
-    violations = _model.validate_tree(topology) + _model.validate_interference_model(topology)
-    if violations:
-        raise InvalidTopology(violations)
+    if topology.violations:
+        raise InvalidTopology(topology.violations)
     if not topology.links:
         raise InvalidTopology(
             [_model.ModelViolation("NoSmallBS", "demand is undefined without small cells")]
@@ -209,11 +209,8 @@ def _build_demand_lp(
     lp.set_objective(obj)
 
     for link in topology.links:
-        carried: dict[int, int] = {}
-        for b in subtree_bs_set(topology, link.child):
-            col = demand_cols[b]
-            carried[col] = carried.get(col, 0) + 1
-        vmap.carried[link.id] = carried
+        members = topology.subtree(link.child)
+        carried = vmap.carried[link.id] = Counter(demand_cols[b] for b in members)
         row = [0.0] * lp.num_vars
         for col, count in carried.items():
             row[col] = -float(count)
@@ -280,17 +277,6 @@ def _decode(
     )
 
 
-def _subtree_sizes(topology: NetworkTopology) -> dict[int, int]:
-    """Link id -> small BSs in the subtree it feeds, from one walk of the tree."""
-    order = [topology.macro.id]
-    for bs in order:  # grows while it is read: a breadth-first walk
-        order.extend(link.child for link in topology.child_links(bs))
-    size = dict.fromkeys(order, 1)
-    for bs in reversed(order[1:]):
-        size[topology.link(bs).parent] += size[bs]
-    return {link.id: size[link.child] for link in topology.links}
-
-
 def solve_equal_demand(topology: NetworkTopology, setting: Setting) -> DemandSolution:
     """Largest demand D_B that every small BS can get at once, in closed form.
 
@@ -303,7 +289,7 @@ def solve_equal_demand(topology: NetworkTopology, setting: Setting) -> DemandSol
     same program for an independent check.
     """
     _check_topology(topology, setting)
-    size = _subtree_sizes(topology)
+    size = {link.id: len(topology.subtree(link.child)) for link in topology.links}
     # p_i / P_i^f per Gbps of D at the cheapest fractions
     load = {link.id: size[link.id] / link.capacity_gbps for link in topology.links}
     bounds = [link.capacity_gbps / size[link.id] for link in topology.links]
@@ -437,6 +423,11 @@ def _reject_number(label: str, value: float) -> None:
 
 
 def solution_from_dict(data: dict) -> DemandSolution:
+    if not isinstance(data, dict):
+        raise InconsistentInput("solution JSON must be an object")
+    for name in ("per_bs", "p_first", "p_last"):
+        if not isinstance(data.get(name), dict):
+            raise InconsistentInput(f"solution JSON {name} must be an object")
     try:
         objective = Objective(data["objective"])
         per_bs = {int(b): float(v) for b, v in data["per_bs"].items()}

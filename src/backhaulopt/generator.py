@@ -19,8 +19,6 @@ from backhaulopt.model import (
     BaseStation,
     NetworkTopology,
     make_link,
-    validate_interference_model,
-    validate_tree,
 )
 
 
@@ -131,9 +129,8 @@ def generate_topology(config: GeneratorConfig) -> NetworkTopology:
     ]
 
     topology = NetworkTopology(stations, links, pairs)
-    problems = validate_tree(topology) + validate_interference_model(topology)
-    if problems:  # generation logic must never emit these
-        raise InfeasibleConfig("; ".join(str(p) for p in problems))
+    if topology.violations:  # generation logic must never emit these
+        raise InfeasibleConfig("; ".join(str(p) for p in topology.violations))
     return topology
 
 

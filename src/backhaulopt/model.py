@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from backhaulopt import capacity as _capacity
@@ -89,9 +90,9 @@ def make_link(
 class NetworkTopology:
     """Immutable tree of one macro BS and its small-cell BSs.
 
-    Construction never raises on structural garbage; run validate_tree and
-    validate_interference_model to obtain the violation report. All other
-    operations assume a valid topology.
+    Construction never raises on structural garbage; `violations` holds the
+    report, computed once, and `subtree` reads an index built by one walk
+    from the macro. All other operations assume a valid topology.
     """
 
     def __init__(
@@ -112,10 +113,29 @@ class NetworkTopology:
             if link.parent in self._children:
                 self._children[link.parent].append(link)
         self._partners: dict[int, list[int]] = {l.id: [] for l in self.links}
-        for a, b in self.interference_pairs:
+        for a, b in self.interference_pairs:  # sorted with a <= b, so each list ascends
             if a in self._partners and b in self._partners:
                 self._partners[a].append(b)
                 self._partners[b].append(a)
+
+    @cached_property
+    def violations(self) -> tuple[ModelViolation, ...]:
+        """validate_tree plus validate_interference_model; empty on a valid tree."""
+        return tuple(validate_tree(self) + validate_interference_model(self))
+
+    @cached_property
+    def _tree(self) -> tuple[tuple[int, ...], dict[int, slice]]:
+        order, via, stack = [], {}, [(s.id, None) for s in self.stations if s.kind == MACRO][:1]
+        while stack:
+            bs, parent = stack.pop()
+            if bs not in via:  # a cyclic topology must not hang us
+                via[bs] = parent  # the BS whose link the walk took to bs
+                order.append(bs)
+                stack += [(l.child, bs) for l in reversed(self._children.get(bs, ()))]
+        size = dict.fromkeys(order, 1)
+        for bs in reversed(order[1:]):
+            size[via[bs]] += size[bs]
+        return tuple(order), {bs: slice(i, i + size[bs]) for i, bs in enumerate(order)}
 
     # -- lookups ----------------------------------------------------------
 
@@ -155,7 +175,14 @@ class NetworkTopology:
 
     def partners(self, link_id: int) -> list[int]:
         """Ids of links interfering with link_id, ascending."""
-        return sorted(self._partners.get(link_id, []))
+        return list(self._partners.get(link_id, ()))
+
+    def subtree(self, bs_id: int) -> tuple[int, ...]:
+        """BS ids under bs_id in preorder, child links by ascending id; a slice of the macro's."""
+        order, spans = self._tree
+        if bs_id not in spans:
+            raise UnknownBS(f"B{bs_id} is not reached from the macro")
+        return order[spans[bs_id]]
 
     def small_bs_ids(self) -> list[int]:
         return [s.id for s in self.stations if s.kind == SMALL]
@@ -174,7 +201,8 @@ def subtree_bs_set(topology: NetworkTopology, bs_id: int) -> frozenset[int]:
     """BS ids in the subtree rooted at bs_id, including bs_id itself.
 
     For a link L_i this is the serving set of its child BS i: every BS whose
-    traffic crosses the link.
+    traffic crosses the link. An independent walk per call: the reference
+    that validate_tree and the tests hold NetworkTopology.subtree to.
     """
     topology.station(bs_id)
     seen = set()

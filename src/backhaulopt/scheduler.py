@@ -1,9 +1,8 @@
 """Transmission schedule construction for one radio frame.
 
-Walks the tree from the macro BS with an explicit stack; each BS places the
-schedules of its child links, so a link's schedule is fixed by its parent-side
-BS and already known when the child BS is reached. Per link the schedule
-consists of
+Visits the BSs in preorder from the macro; each BS places the schedules of
+its child links, so a link's schedule is fixed by its parent-side BS and
+already known when the child BS is reached. Per link the schedule consists of
 
 * a footprint: the fraction p_f/P_f of the frame during which the link's
   relay pipeline is running at all,
@@ -33,7 +32,7 @@ from backhaulopt.errors import (
     NonFiniteInput,
     PlacementFailure,
 )
-from backhaulopt.model import NetworkTopology, validate_interference_model
+from backhaulopt.model import NetworkTopology
 
 GRID = 10**12
 # Placement may come up short by LP round-off; anything within this many grid
@@ -167,10 +166,21 @@ class _State:
         key = (bs, chain)
         self.busy[key] = _merge(self.busy.get(key, []) + pieces)
 
+    def chains_in_use(self, bs: int) -> range:
+        """The chains of bs that hold intervals, then the first free one.
+
+        Actives go first-fit from chain 0, so the occupied chains are
+        contiguous from 0, and every free chain places like the first free
+        one: a station may declare any number of chains at no cost.
+        """
+        used = 0
+        while self.busy.get((bs, used)):
+            used += 1
+        return range(min(used + 1, self.topology.station(bs).radio_chains))
+
     def all_busy(self, bs: int) -> list[tuple[int, int]]:
-        chains = self.topology.station(bs).radio_chains
         merged: list[tuple[int, int]] = []
-        for c in range(chains):
+        for c in self.chains_in_use(bs):
             merged += self.chain_busy(bs, c)
         return _merge(merged)
 
@@ -203,9 +213,8 @@ def _place_actives(state: _State, link, plan: _LinkPlan, forbidden: list[tuple[i
     radio chains at the same time).
     """
     bs = link.parent
-    chains = state.topology.station(bs).radio_chains
     remaining = plan.active_need
-    for chain in range(chains):
+    for chain in state.chains_in_use(bs):
         if remaining <= 0:
             break
         blocked = _merge(state.chain_busy(bs, chain) + forbidden + plan.active)
@@ -283,21 +292,16 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
     Raises PlacementFailure when some link's active time cannot be packed
     onto the available radio chains (possible in limited-radio-chain
     settings; the LP bound is then reported as unrealized). Raises
-    InvalidTopology when the interference pairs break the one-partner-per-BS
-    rule that the pairwise placement relies on.
+    InvalidTopology on a topology that is not a valid tree, interference
+    pairs that break the one-partner-per-BS rule of the placement included.
     """
-    violations = validate_interference_model(topology)
-    if violations:
-        raise InvalidTopology(violations)
+    if topology.violations:
+        raise InvalidTopology(topology.violations)
     state = _State(topology)
     plans = {l.id: _plan_for(l, p_first) for l in topology.links}
 
-    stack = [topology.macro.id]
-    while stack:
-        bs = stack.pop()
+    for bs in topology.subtree(topology.macro.id):
         children = topology.child_links(bs)
-        for l in reversed(children):
-            stack.append(l.child)
         remaining = {l.id for l in children}
         by_id = {l.id: l for l in children}
 
@@ -408,6 +412,10 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 
 def schedule_from_dict(data: dict) -> Schedule:
+    if not isinstance(data, dict) or not isinstance(data.get("links"), dict):
+        raise InconsistentInput("schedule JSON links must be an object")
+    if not isinstance(data.get("meta", {}), dict):
+        raise InconsistentInput("schedule JSON meta must be an object")
     try:
         links = {
             int(lid): LinkSchedule(

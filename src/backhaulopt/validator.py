@@ -33,8 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from backhaulopt.errors import AllZeroDemands
-from backhaulopt.model import NetworkTopology, TrafficDemand, subtree_bs_set
+from backhaulopt.errors import AllZeroDemands, InvalidTopology
+from backhaulopt.model import NetworkTopology, subtree_bs_set  # noqa: F401 (perfbench wraps it)
 from backhaulopt.scheduler import Schedule
 
 TOL_INTERVAL = 1e-9
@@ -95,11 +95,6 @@ def _overlap(a: list[Interval], b: list[Interval]) -> float:
     return out
 
 
-def _self_overlap(intervals: list[Interval]) -> float:
-    """How much the pieces of one list double-cover each other."""
-    return _total(intervals) - _total(_merge(intervals))
-
-
 def _bad_geometry(intervals: list[Interval]) -> bool:
     """Whether some interval is reversed, leaves the frame or is not a number.
 
@@ -127,8 +122,11 @@ def validate_schedule(
     rate to carry its subtree traffic. p_last, when given, must equal
     p_first * P_l/P_f, with the schedule's first-link time standing in for
     p_first when that is not given; d_b_gbps, an equal demand the schedule
-    claims to serve, must not exceed the realized equal demand.
+    claims to serve, must not exceed the realized equal demand. Raises
+    InvalidTopology when the topology is not a valid tree.
     """
+    if topology.violations:
+        raise InvalidTopology(topology.violations)
     report = ValidationReport()
 
     def add(kind: str, detail: str) -> None:
@@ -139,6 +137,7 @@ def validate_schedule(
             add("UnknownLink", f"schedule covers link {lid} which the topology lacks")
 
     chain_claims: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
+    footprints: dict[int, list[Interval]] = {}
 
     for link in topology.links:
         entry = schedule.links.get(link.id)
@@ -146,18 +145,19 @@ def validate_schedule(
             add("MissingLink", f"no schedule entry for link {link.id}")
             continue
 
-        footprint = _merge(entry.footprint)
+        footprint = footprints[link.id] = _merge(entry.footprint)
         if _bad_geometry(entry.footprint):
             add("FootprintMismatch", f"link {link.id} footprint leaves the frame")
-        if _self_overlap(entry.footprint) > TOL_INTERVAL:
+        if _total(entry.footprint) - _total(footprint) > TOL_INTERVAL:
             add("FootprintMismatch", f"link {link.id} footprint intervals overlap")
 
         parent_times = [(s, e) for _, s, e in entry.parent_side]
         child_times = [(s, e) for _, s, e in entry.child_side]
+        merged = []  # each side's times, merged once
 
-        for label, pieces, bs in (
-            ("first link", entry.parent_side, link.parent),
-            ("last link", entry.child_side, link.child),
+        for label, pieces, times, bs in (
+            ("first link", entry.parent_side, parent_times, link.parent),
+            ("last link", entry.child_side, child_times, link.child),
         ):
             station = topology.station(bs)
             for chain, s, e in pieces:
@@ -167,25 +167,24 @@ def validate_schedule(
                         f"link {link.id} {label} uses chain {chain} at B{bs} "
                         f"which has {station.radio_chains} radio chains",
                     )
-            times = [(s, e) for _, s, e in pieces]
+                chain_claims.setdefault((bs, chain), []).append((s, e, link.id))
+            merged.append(_merge(times))
             if _bad_geometry(times):
                 add("ActiveOutsideFootprint", f"link {link.id} {label} leaves the frame")
-            uncovered = _total(_merge(times)) - _overlap(_merge(times), footprint)
+            uncovered = _total(merged[-1]) - _overlap(merged[-1], footprint)
             if uncovered > TOL_INTERVAL:
                 add(
                     "ActiveOutsideFootprint",
                     f"link {link.id} {label} transmits {uncovered:.3e} outside its footprint",
                 )
-            if _self_overlap(times) > TOL_INTERVAL:
+            if _total(times) - _total(merged[-1]) > TOL_INTERVAL:
                 add(
                     "ChainOverlap",
                     f"link {link.id} {label} transmits on two chains at once",
                 )
-            for chain, s, e in pieces:
-                chain_claims.setdefault((bs, chain), []).append((s, e, link.id))
 
         if link.hop_count > 1:
-            cross = _overlap(_merge(parent_times), _merge(child_times))
+            cross = _overlap(*merged)
             if cross > TOL_INTERVAL:
                 add(
                     "EndpointOverlap",
@@ -233,7 +232,7 @@ def validate_schedule(
         # its parent and child claims land at different stations and never
         # collide here; distinct links sharing a chain must take turns
         times = [(s, e) for s, e, _ in claims]
-        spare = _self_overlap(times)
+        spare = _total(times) - _total(_merge(times))
         if spare > TOL_INTERVAL:
             owners = sorted({lid for _, _, lid in claims})
             add(
@@ -243,10 +242,7 @@ def validate_schedule(
             )
 
     for a, b in topology.interference_pairs:
-        ea, eb = schedule.links.get(a), schedule.links.get(b)
-        if ea is None or eb is None:
-            continue
-        cross = _overlap(_merge(ea.footprint), _merge(eb.footprint))
+        cross = _overlap(footprints.get(a, []), footprints.get(b, []))
         if cross > TOL_INTERVAL:
             add(
                 "InterferenceOverlap",
@@ -256,7 +252,7 @@ def validate_schedule(
     if report.realized_rates:
         # links without a schedule entry carry nothing
         report.realized_equal_demand = min(
-            report.realized_rates.get(l.id, 0.0) / len(subtree_bs_set(topology, l.child))
+            report.realized_rates.get(l.id, 0.0) / len(topology.subtree(l.child))
             for l in topology.links
         )
     if d_b_gbps is not None and not d_b_gbps <= report.realized_equal_demand + TOL_RATE:
@@ -267,11 +263,10 @@ def validate_schedule(
         )
 
     if demands is not None:
-        traffic = TrafficDemand(per_bs=dict(demands))
         for link in topology.links:
             if link.id not in report.realized_rates:
                 continue
-            need = traffic.subtree_demand(topology, link.id)
+            need = float(sum(demands.get(b, 0.0) for b in topology.subtree(link.child)))
             have = report.realized_rates[link.id]
             if not have >= need - TOL_RATE:
                 add(

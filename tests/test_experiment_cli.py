@@ -171,6 +171,41 @@ def test_cli_schedule_rejects_too_many_partners(tmp_path, capsys):
     assert "TooManyPartnersAtBS" in capsys.readouterr().err
 
 
+def _write_detached_cycle(tmp_path):
+    """B2 and B3 feed each other and the macro reaches neither; the solution
+    is all zero and every schedule entry empty."""
+    topo, sol, sched = (tmp_path / n for n in ("t.json", "s.json", "f.json"))
+    topo.write_text(json.dumps({
+        "stations": [{"id": b, "kind": "macro" if b == 0 else "small", "radio_chains": 1}
+                     for b in range(4)],
+        "links": [{"id": 1, "parent": 0, "child": 1, "hops": 1},
+                  {"id": 2, "parent": 3, "child": 2, "hops": 1},
+                  {"id": 3, "parent": 2, "child": 3, "hops": 1}],
+        "interference": [],
+    }))
+    zero = {str(b): 0.0 for b in (1, 2, 3)}
+    sol.write_text(json.dumps({"objective": "equal_demand", "d_b_gbps": 0.0,
+                               "per_bs": zero, "p_first": zero, "p_last": zero}))
+    sched.write_text(json.dumps({"links": {
+        str(b): {"footprint": [], "parent_side": [], "child_side": []} for b in (1, 2, 3)
+    }, "chains": [], "meta": {}}))
+    return str(topo), str(sol), str(sched)
+
+
+def test_cli_validate_rejects_a_non_tree(tmp_path, capsys):
+    topo, sol, sched = _write_detached_cycle(tmp_path)
+    assert main(["validate", topo, sol, sched]) == 2
+    out = capsys.readouterr()
+    assert "schedule OK" not in out.out
+    assert "NotATree" in out.err
+
+
+def test_cli_schedule_rejects_a_non_tree(tmp_path, capsys):
+    topo, sol, _ = _write_detached_cycle(tmp_path)
+    assert main(["schedule", topo, sol]) == 2
+    assert "NotATree" in capsys.readouterr().err
+
+
 def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     topo = tmp_path / "t.json"
     main(["generate", "--seed", "4", "--out", str(topo)])

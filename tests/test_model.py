@@ -5,7 +5,10 @@ import json
 import pytest
 
 import helpers
+from backhaulopt import model
 from backhaulopt.errors import BackhaulError, InconsistentInput, NonFiniteInput, UnknownBS
+from backhaulopt.experiment import ExperimentConfig, run_trial
+from backhaulopt.generator import GeneratorConfig, generate_topology
 from backhaulopt.model import (
     MACRO,
     SMALL,
@@ -26,6 +29,41 @@ from backhaulopt.model import (
 
 def kinds(violations):
     return sorted(v.kind for v in violations)
+
+
+_STATIONS = [BaseStation(0, MACRO, 2), BaseStation(1, SMALL, 1), BaseStation(2, SMALL, 1)]
+
+
+def malformed():
+    """Topologies that are not valid trees, by the defect they carry."""
+    return {
+        "NoMacro": NetworkTopology([BaseStation(1, SMALL, 1)], []),
+        "DuplicateMacro": NetworkTopology(
+            [BaseStation(0, MACRO, 1), BaseStation(1, MACRO, 1)], [make_link(1, 0, 1, 1)]
+        ),
+        # link id must equal the child id
+        "LinkIdMismatch": NetworkTopology(
+            _STATIONS, [make_link(5, 0, 1, 1), make_link(2, 0, 2, 1)]
+        ),
+        # nobody feeds B2
+        "MissingInbound": NetworkTopology(_STATIONS, [make_link(1, 0, 1, 1)]),
+        # 1 and 2 feed each other, detached from the macro
+        "NotATree": NetworkTopology(_STATIONS, [make_link(1, 2, 1, 1), make_link(2, 1, 2, 1)]),
+        # a link into the macro is never legal; here it closes a cycle through it
+        "MacroInbound": NetworkTopology(
+            _STATIONS, [make_link(0, 1, 0, 1), make_link(1, 0, 1, 1), make_link(2, 0, 2, 1)]
+        ),
+        "BadRadioChains": NetworkTopology(
+            [BaseStation(0, MACRO, 0), BaseStation(1, SMALL, 1)],
+            [make_link(1, 0, 1, 1, capacity_gbps=-1.0)],
+        ),
+        "SelfPair": helpers.chain(hops=(1, 1), pairs=[(1, 1)]),
+        "UnknownLink": helpers.chain(hops=(1, 1), pairs=[(1, 9)]),
+        # links 1 and 3 share no BS on a three-link chain
+        "NoSharedBS": helpers.chain(hops=(1, 1, 1), pairs=[(1, 3)]),
+        # two partners for link 2 at the same shared BS
+        "TooManyPartnersAtBS": helpers.star(3, pairs=[(1, 2), (2, 3)]),
+    }
 
 
 def test_make_link_derives_profile_from_hop_count():
@@ -93,55 +131,27 @@ def test_validate_tree_clean():
 
 
 def test_validate_tree_missing_macro():
-    topo = NetworkTopology([BaseStation(1, SMALL, 1)], [])
-    assert "NoMacro" in kinds(validate_tree(topo))
+    assert "NoMacro" in kinds(validate_tree(malformed()["NoMacro"]))
 
 
 def test_validate_tree_duplicate_macro():
-    topo = NetworkTopology(
-        [BaseStation(0, MACRO, 1), BaseStation(1, MACRO, 1)],
-        [make_link(1, 0, 1, 1)],
-    )
-    assert "DuplicateMacro" in kinds(validate_tree(topo))
+    assert "DuplicateMacro" in kinds(validate_tree(malformed()["DuplicateMacro"]))
 
 
 def test_validate_tree_structural_defects():
-    stations = [BaseStation(0, MACRO, 2), BaseStation(1, SMALL, 1), BaseStation(2, SMALL, 1)]
-    # link id must equal the child id
-    bad_id = NetworkTopology(stations, [make_link(5, 0, 1, 1), make_link(2, 0, 2, 1)])
-    assert "LinkIdMismatch" in kinds(validate_tree(bad_id))
-    # nobody feeds B2
-    orphan = NetworkTopology(stations, [make_link(1, 0, 1, 1)])
-    assert "MissingInbound" in kinds(validate_tree(orphan))
-    # 1 and 2 feed each other, detached from the macro
-    cycle = NetworkTopology(stations, [make_link(1, 2, 1, 1), make_link(2, 1, 2, 1)])
-    assert "NotATree" in kinds(validate_tree(cycle))
-    # a link into the macro is never legal
-    into_macro = NetworkTopology(
-        stations, [make_link(0, 1, 0, 1), make_link(1, 0, 1, 1), make_link(2, 0, 2, 1)]
-    )
-    assert "MacroInbound" in kinds(validate_tree(into_macro))
+    for kind in ("LinkIdMismatch", "MissingInbound", "NotATree", "MacroInbound"):
+        assert kind in kinds(validate_tree(malformed()[kind])), kind
 
 
 def test_validate_tree_bad_fields():
-    stations = [BaseStation(0, MACRO, 0), BaseStation(1, SMALL, 1)]
-    topo = NetworkTopology(stations, [make_link(1, 0, 1, 1, capacity_gbps=-1.0)])
-    found = kinds(validate_tree(topo))
+    found = kinds(validate_tree(malformed()["BadRadioChains"]))
     assert "BadRadioChains" in found
     assert "BadCapacity" in found
 
 
 def test_validate_interference_model():
-    topo = helpers.chain(hops=(1, 1), pairs=[(1, 1)])
-    assert "SelfPair" in kinds(validate_interference_model(topo))
-    topo = helpers.chain(hops=(1, 1), pairs=[(1, 9)])
-    assert "UnknownLink" in kinds(validate_interference_model(topo))
-    # links 1 and 3 share no BS on a three-link chain
-    topo = helpers.chain(hops=(1, 1, 1), pairs=[(1, 3)])
-    assert "NoSharedBS" in kinds(validate_interference_model(topo))
-    # two partners for link 2 at the same shared BS
-    star = helpers.star(3, pairs=[(1, 2), (2, 3)])
-    assert "TooManyPartnersAtBS" in kinds(validate_interference_model(star))
+    for kind in ("SelfPair", "UnknownLink", "NoSharedBS", "TooManyPartnersAtBS"):
+        assert kind in kinds(validate_interference_model(malformed()[kind])), kind
     # same link can have one partner at each end
     ok = helpers.chain(hops=(1, 1, 1), pairs=[(1, 2), (2, 3)])
     assert validate_interference_model(ok) == []
@@ -188,3 +198,68 @@ def test_traffic_demand_subtree_sums():
     assert demand.aggregate == 5.0
     assert demand.subtree_demand(topo, 1) == 5.0
     assert demand.subtree_demand(topo, 2) == 3.0
+
+
+# -- the tree index ----------------------------------------------------------
+
+
+def _stack_walk(topo):
+    """The scheduler's own walk before the index: child links pop in ascending id."""
+    order, stack = [], [topo.macro.id]
+    while stack:
+        bs = stack.pop()
+        order.append(bs)
+        stack.extend(l.child for l in reversed(topo.child_links(bs)))
+    return order
+
+
+def _generated_trees():
+    for n in [*range(1, 81), 200]:
+        yield generate_topology(
+            GeneratorConfig(seed=n, num_small_bs=n, macro_degree=min(n, 8),
+                            interference_pair_budget=n // 3)
+        )
+
+
+def test_tree_index_matches_the_reference_walks():
+    for topo in _generated_trees():
+        assert topo.violations == ()
+        assert list(topo.subtree(topo.macro.id)) == _stack_walk(topo)
+        for b in topo.subtree(topo.macro.id):
+            assert set(topo.subtree(b)) == subtree_bs_set(topo, b)
+            assert len(topo.subtree(b)) == len(subtree_bs_set(topo, b))
+        for link in topo.links:
+            assert topo.partners(link.id) == sorted(
+                {a + b - link.id for a, b in topo.interference_pairs if link.id in (a, b)}
+            )
+    for kind, topo in malformed().items():
+        assert list(topo.violations) == validate_tree(topo) + validate_interference_model(topo)
+        assert kind in kinds(topo.violations)
+        assert topo.violations is topo.violations
+        if kind == "NoMacro":
+            with pytest.raises(UnknownBS):
+                topo.subtree(1)
+            continue
+        # building the index ends even where the macro reaches a cycle
+        reach = topo.subtree(topo.macro.id)
+        assert set(reach) == subtree_bs_set(topo, topo.macro.id)
+        for b in reach:
+            # a slice holds what the walk reached first; on a tree, all of it
+            assert set(topo.subtree(b)) <= subtree_bs_set(topo, b)
+            if "NotATree" not in kinds(topo.violations):
+                assert set(topo.subtree(b)) == subtree_bs_set(topo, b)
+    with pytest.raises(UnknownBS):
+        malformed()["MissingInbound"].subtree(2)
+
+
+def test_a_trial_validates_each_topology_once(monkeypatch):
+    seen = []
+    reference = model.validate_tree
+
+    def counting(topology):
+        seen.append(topology)  # held, so no two topologies share an id
+        return reference(topology)
+
+    monkeypatch.setattr(model, "validate_tree", counting)
+    run_trial(ExperimentConfig(seed=5), 0)
+    assert len({id(t) for t in seen}) == len(seen) <= 8

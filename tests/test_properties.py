@@ -1,7 +1,8 @@
 """Property tests: a single bad number in a valid solution or schedule file
-never lets `backhaulopt validate` report a clean schedule or crash, and a
-random valid tree goes through solve, schedule and validate with no
-violations."""
+never lets `backhaulopt validate` report a clean schedule or crash, any
+single mutated field of the three input files ends `validate` and `schedule`
+with an exit code rather than an internal error, and a random valid tree
+goes through solve, schedule and validate with no violations."""
 
 import contextlib
 import copy
@@ -98,6 +99,47 @@ def test_one_bad_number_never_validates(files, data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         code = main(["validate", topo, paths["solution"], paths["schedule"]])
     assert code in (1, 3), (target, path, value, out.getvalue())
+
+
+# values a mutated field may take: wrong types, and numbers at the edges of
+# what a float or a radio-chain count can hold
+WRONG = st.sampled_from([None, "x", [], [1, 2], {}, {"a": 1}, 1e308, -1e308, 2**70])
+
+
+def _paths(doc, prefix=()):
+    """Every path to a value nested in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_mutated_field_exits_cleanly(files, data):
+    root, topo, solution, schedule = files
+    with open(topo) as fh:
+        docs = {"topology": json.load(fh), "solution": solution, "schedule": schedule}
+    target = data.draw(st.sampled_from(sorted(docs)))
+    docs = {name: copy.deepcopy(doc) for name, doc in docs.items()}
+    path = data.draw(st.sampled_from(sorted(_paths(docs[target]), key=repr)))
+    value = data.draw(WRONG)
+    _set(docs[target], path, value)
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(root / f"mutated_{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+    for argv in (
+        ["validate", paths["topology"], paths["solution"], paths["schedule"]],
+        ["schedule", paths["topology"], paths["solution"], "--out", str(root / "out.json")],
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (target, path, value, out.getvalue())
+        assert "internal error:" not in out.getvalue(), (target, path, value, out.getvalue())
 
 
 @st.composite

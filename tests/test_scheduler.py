@@ -1,5 +1,9 @@
 """Frame schedule construction: frozen placements and feasibility sweeps."""
 
+import hashlib
+import json
+import time
+
 import pytest
 
 import helpers
@@ -10,8 +14,20 @@ from backhaulopt.errors import (
     NonFiniteInput,
     PlacementFailure,
 )
-from backhaulopt.formulations import Interference, parse_setting, solve_equal_demand
-from backhaulopt.generator import adapt_topology, strip_interference
+from backhaulopt.experiment import SETTING_NAMES
+from backhaulopt.formulations import (
+    Interference,
+    Objective,
+    parse_setting,
+    solve_equal_demand,
+    solve_objective,
+)
+from backhaulopt.generator import (
+    GeneratorConfig,
+    adapt_topology,
+    generate_topology,
+    strip_interference,
+)
 from backhaulopt.scheduler import (
     achieved_rates,
     build_schedule,
@@ -107,6 +123,23 @@ def test_input_validation():
         build_schedule(multi, {1: 0.75})  # exceeds P^f = 0.5
 
 
+def test_declared_chain_count_costs_nothing():
+    # a station may declare far more chains than placement can ever fill;
+    # the schedule is the one for a count that is merely enough
+    base = generate_topology(
+        GeneratorConfig(seed=3, num_small_bs=20, interference_pair_budget=6)
+    )
+    setting, _ = parse_setting("LI-LR")
+    enough = adapt_topology(base, setting, macro_chains=8)
+    huge = adapt_topology(base, setting, macro_chains=2**70)
+    p_first = solve_equal_demand(enough, setting).p_first
+    start = time.perf_counter()
+    sched = build_schedule(huge, p_first)
+    assert time.perf_counter() - start < 1.0
+    assert schedule_to_dict(sched) == schedule_to_dict(build_schedule(enough, p_first))
+    assert validate_schedule(huge, sched, p_first=p_first).ok
+
+
 def test_non_finite_p_first_rejected():
     topo = helpers.star(2, hop=1)
     for value in (float("nan"), float("inf")):
@@ -158,3 +191,70 @@ def test_round_trip_across_settings_and_seeds():
             report = validate_schedule(topo, sched, p_first=sol.p_first, demands=sol.per_bs)
             assert report.ok, (seed, name, [str(v) for v in report.violations])
             assert report.realized_equal_demand == pytest.approx(sol.d_b_gbps, abs=1e-6)
+
+
+# -- frozen schedules and validation reports ---------------------------------
+
+_FROZEN_SIZES = {1: (1, 2, 3, 4), 5: (1, 2, 3, 4), 20: (1, 2, 3), 80: (1, 2), 200: (1, 2)}
+
+
+def _frozen_cases():
+    """(topology, solution) for every size and seed, setting and objective."""
+    for n, seeds in _FROZEN_SIZES.items():
+        for seed in seeds:
+            base = generate_topology(
+                GeneratorConfig(
+                    seed=seed,
+                    num_small_bs=n,
+                    macro_degree=min(n, 8),
+                    interference_pair_budget=n // 3 + 1,
+                )
+            )
+            bare = strip_interference(base)
+            for name in SETTING_NAMES:
+                setting, k = parse_setting(name)
+                src = bare if setting.interference is Interference.MINIMAL else base
+                topo = adapt_topology(src, setting, macro_chains=k)
+                for objective in Objective:
+                    yield topo, solve_objective(topo, setting, objective)
+
+
+def _report_text(topo, schedule, sol):
+    report = validate_schedule(
+        topo,
+        schedule,
+        p_first=sol.p_first,
+        demands=sol.per_bs,
+        p_last=sol.p_last,
+        d_b_gbps=sol.d_b_gbps,
+    )
+    rates = ",".join(f"{k}:{v.hex()}" for k, v in sorted(report.realized_rates.items()))
+    lines = [str(v) for v in report.violations]
+    return "|".join([*lines, rates, report.realized_equal_demand.hex()])
+
+
+def test_schedules_and_reports_frozen():
+    # schedule JSON and validation reports, byte for byte, for generated
+    # trees up to 200 BSs; each schedule is validated as built and with one
+    # link's footprint replaced by its interference partner's (or, without
+    # pairs, by the next link's), which pins the violation text
+    digest = hashlib.sha256()
+    for topo, sol in _frozen_cases():
+        try:
+            schedule = build_schedule(topo, sol.p_first)
+        except PlacementFailure:
+            digest.update(b"placement failure")
+            continue
+        data = schedule_to_dict(schedule)
+        digest.update(json.dumps(data, sort_keys=True).encode())
+        digest.update(_report_text(topo, schedule, sol).encode())
+        ids = [l.id for l in topo.links]
+        pair = topo.interference_pairs[0] if topo.interference_pairs else ids[:2]
+        if len(pair) == 2:
+            a, b = (str(x) for x in pair)
+            data["links"][b]["footprint"] = [list(iv) for iv in data["links"][a]["footprint"]]
+            tampered = schedule_from_dict(data)
+            digest.update(_report_text(topo, tampered, sol).encode())
+    assert digest.hexdigest() == (
+        "b385069c71840ef3d1d0809fcc7a6319194a5985c54ac51b56f6cdf1805caa61"
+    )

@@ -20,8 +20,11 @@ from __future__ import annotations
 import enum
 import math
 import re
-from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from backhaulopt import model as _model
 from backhaulopt.errors import (
@@ -143,39 +146,67 @@ def _needs_p_vars(setting: Setting) -> bool:
 class _VarMap:
     """Column layout of a formulation LP."""
 
+    topology: NetworkTopology
     demand_cols: dict[int, int]  # small BS id -> its demand column
     p_cols: dict[int, int] = field(default_factory=dict)  # link id -> column
-    # link id -> {demand column: subtree BSs on it}, the demand the link carries
-    carried: dict[int, dict[int, int]] = field(default_factory=dict)
+
+    def subtree_cols(self) -> Iterator[tuple[int, list[int]]]:
+        """(link id, demand column of each BS in the link's subtree, in preorder)."""
+        topology = self.topology
+        order = topology.subtree(topology.macro.id)
+        pre_cols = [self.demand_cols.get(b, -1) for b in order]  # the macro has no column
+        for link in topology.links:
+            yield link.id, pre_cols[topology.subtree_slice(link.child)]
+
+    @cached_property
+    def carried(self) -> dict[int, dict[int, int]]:
+        """link id -> {demand column: subtree BSs on it}, the demand the link
+        carries, columns in the order the subtree's preorder first meets them.
+
+        Built on first use: only a decode without p_f columns reads it.
+        """
+        out = {}
+        for link_id, cols in self.subtree_cols():
+            counts = out[link_id] = dict.fromkeys(cols, 0)
+            for col in cols:
+                counts[col] += 1
+        return out
 
 
 def _add_p_constraints(
-    lp: LinearProgram, topology: NetworkTopology, setting: Setting, vmap: _VarMap
+    lp: LinearProgram,
+    topology: NetworkTopology,
+    setting: Setting,
+    vmap: _VarMap,
+    rows: np.ndarray,
 ) -> None:
-    """Box bounds plus the interference and radio-chain constraint families."""
+    """Box bounds, and the interference and radio-chain rows filled into rows.
+
+    rows holds one zero row per interference pair under LI, then one per
+    BS under LR. In a valid tree the link into a BS is the link whose child
+    it is, and no link is both a BS's inbound link and one of its child
+    links, so every cell below is written once.
+    """
     for link in topology.links:
         lp.set_bounds(vmap.p_cols[link.id], 0.0, link.p_first_max)
 
-    if setting.interference is Interference.LIMITED:
-        # interfering links must share the frame: p_i/P_i + p_j/P_j <= 1
-        for a, b in topology.interference_pairs:
-            row = [0.0] * lp.num_vars
-            row[vmap.p_cols[a]] = 1.0 / topology.link(a).p_first_max
-            row[vmap.p_cols[b]] = 1.0 / topology.link(b).p_first_max
-            lp.add_constraint(row, Relation.LE, 1.0)
+    pairs = topology.interference_pairs if setting.interference is Interference.LIMITED else ()
+    # interfering links must share the frame: p_i/P_i + p_j/P_j <= 1
+    for side in (0, 1):
+        links = [topology.link(pair[side]) for pair in pairs]
+        cols = np.array([vmap.p_cols[link.id] for link in links], dtype=np.intp)
+        rows[np.arange(len(pairs)), cols] = [1.0 / link.p_first_max for link in links]
 
     if setting.radio_chains is RadioChains.LIMITED:
         # per-BS radio-chain time: last-link share of the inbound link plus
         # first-link shares of all child links
-        for s in topology.stations:
-            row = [0.0] * lp.num_vars
-            inbound = topology.inbound_link(s.id)
-            if inbound is not None:
-                row[vmap.p_cols[inbound.id]] = inbound.p_last_max / inbound.p_first_max
-            for child in topology.child_links(s.id):
-                row[vmap.p_cols[child.id]] += 1.0
-            if any(row):
-                lp.add_constraint(row, Relation.LE, float(s.radio_chains))
+        row_of = {s.id: len(pairs) + r for r, s in enumerate(topology.stations)}
+        links = topology.links
+        cols = [vmap.p_cols[link.id] for link in links]
+        rows[[row_of[link.child] for link in links], cols] = [
+            link.p_last_max / link.p_first_max for link in links
+        ]
+        rows[[row_of[link.parent] for link in links], cols] = 1.0
 
 
 def _build_demand_lp(
@@ -191,38 +222,50 @@ def _build_demand_lp(
     demand of every BS in its subtree. With minimal interference and enough
     radio chains the active-time fractions are unconstrained apart from
     their boxes, so the LP holds the demands alone; otherwise one p_f[i]
-    per link joins the program.
+    per link joins the program. The rows are filled by index into one
+    matrix: links, then interference pairs under LI, then every BS under LR
+    (each BS of a valid tree has a link, so no BS row is zero).
     """
     _check_topology(topology, setting)
     with_p = _needs_p_vars(setting)
+    links = topology.links
 
     names = list(demand_names)
-    vmap = _VarMap(demand_cols=demand_cols)
+    vmap = _VarMap(topology, demand_cols)
     if with_p:
-        for link in topology.links:
+        for link in links:
             vmap.p_cols[link.id] = len(names)
             names.append(f"p_f[{link.id}]")
     lp = LinearProgram(len(names), names)
-    obj = [0.0] * lp.num_vars
-    for col in demand_cols.values():
-        obj[col] = 1.0
-    lp.set_objective(obj)
+    objective = np.zeros(lp.num_vars)
+    objective[list(demand_cols.values())] = 1.0
+    lp.set_objective(objective)
 
-    for link in topology.links:
-        members = topology.subtree(link.child)
-        carried = vmap.carried[link.id] = Counter(demand_cols[b] for b in members)
-        row = [0.0] * lp.num_vars
-        for col, count in carried.items():
-            row[col] = -float(count)
-        if with_p:
-            # (C_i / P_i^f) p_i >= demand carried by link i
-            row[vmap.p_cols[link.id]] = link.capacity_gbps / link.p_first_max
-            lp.add_constraint(row, Relation.GE, 0.0)
-        else:
-            # demand carried by link i <= C_i
-            lp.add_constraint(row, Relation.GE, -link.capacity_gbps)
+    limited = setting.interference is Interference.LIMITED
+    num_pairs = len(topology.interference_pairs) if limited else 0
+    stations = topology.stations if setting.radio_chains is RadioChains.LIMITED else ()
+    rows = np.zeros((len(links) + num_pairs + len(stations), lp.num_vars))
+
+    # a link carries the demand of each BS in its subtree: -1 per BS in its
+    # demand column, so each column ends at exactly -float(count)
+    cell_rows, cell_cols = [], []
+    for r, (_, cols) in enumerate(vmap.subtree_cols()):
+        cell_rows += [r] * len(cols)
+        cell_cols += cols
+    np.subtract.at(rows, (cell_rows, cell_cols), 1.0)
+    capacity = np.array([link.capacity_gbps for link in links])
     if with_p:
-        _add_p_constraints(lp, topology, setting, vmap)
+        # (C_i / P_i^f) p_i >= demand carried by link i
+        p_first = np.array([link.p_first_max for link in links])
+        rows[np.arange(len(links)), list(vmap.p_cols.values())] = capacity / p_first
+        _add_p_constraints(lp, topology, setting, vmap, rows[len(links) :])
+        chains = [float(s.radio_chains) for s in stations]
+        rhs = np.concatenate([np.zeros(len(links)), np.ones(num_pairs), chains])
+    else:
+        # demand carried by link i <= C_i
+        rhs = -capacity
+    relations = [Relation.GE] * len(links) + [Relation.LE] * (num_pairs + len(stations))
+    lp.add_constraints(rows, relations, rhs)
     if floors:
         for b, floor in floors.items():
             if floor > 0.0:

@@ -3,16 +3,22 @@
 Maximization over nonnegative variables with optional per-variable bounds
 and <=, >=, = row constraints. Small and dense on purpose: every LP in this
 package has at most a few hundred rows.
+
+The rows live in one (k, num_vars) float64 matrix with a relation per row
+and a right-hand-side array; a builder fills a block by index and hands it
+over in one add_constraints call. `constraints` reads the same storage back
+one row at a time. Every number that enters is checked to be finite.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from backhaulopt.errors import DimensionMismatch, NonPositiveInput
+from backhaulopt.errors import DimensionMismatch, NonFiniteInput, NonPositiveInput
 
 
 class Relation(enum.Enum):
@@ -27,15 +33,24 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Constraint:
+    """One row of a LinearProgram: a read-only view of its matrix row."""
+
     coeffs: np.ndarray
     relation: Relation
     rhs: float
 
 
 class LinearProgram:
-    """maximize c.x subject to row constraints and lower <= x <= upper."""
+    """maximize c.x subject to row constraints and lower <= x <= upper.
+
+    The constraint rows are `matrix` (one row per constraint, in the order
+    they were added), `relations` and `rhs`, all read-only: rows go in only
+    through add_constraint and add_constraints, which check them. Storage
+    grows by doubling, so adding rows one at a time stays linear in the
+    number of rows.
+    """
 
     def __init__(self, num_vars: int, names: list[str] | None = None):
         if num_vars < 1:
@@ -45,29 +60,98 @@ class LinearProgram:
         self.num_vars = num_vars
         self.names = list(names) if names is not None else [f"x{i}" for i in range(num_vars)]
         self.objective = np.zeros(num_vars)
-        self.constraints: list[Constraint] = []
+        self._relations: list[Relation] = []
+        self._rows = np.empty((0, num_vars))  # capacity >= len(_relations)
+        self._rhs = np.empty(0)
         self.lower = np.zeros(num_vars)
         self.upper = np.full(num_vars, np.inf)
 
+    @property
+    def relations(self) -> tuple[Relation, ...]:
+        """The relation of each row."""
+        return tuple(self._relations)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The (k, num_vars) constraint matrix."""
+        return _read_only(self._rows[: len(self._relations)])
+
+    @property
+    def rhs(self) -> np.ndarray:
+        """The k right-hand sides."""
+        return _read_only(self._rhs[: len(self._relations)])
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The rows as Constraint(coeffs, relation, rhs), built on each access.
+
+        coeffs are read-only views of the matrix rows; rhs is a Python float.
+        """
+        return tuple(
+            Constraint(row, rel, float(b))
+            for row, rel, b in zip(self.matrix, self._relations, self.rhs)
+        )
+
     def set_objective(self, coeffs) -> None:
-        c = np.asarray(coeffs, dtype=float)
+        c = np.array(coeffs, dtype=float)
         if c.shape != (self.num_vars,):
             raise DimensionMismatch(f"objective length {c.size} != {self.num_vars} variables")
+        if not np.isfinite(c).all():
+            raise NonFiniteInput("objective coefficients must be finite")
         self.objective = c
 
     def add_constraint(self, coeffs, relation: Relation, rhs: float) -> None:
         a = np.asarray(coeffs, dtype=float)
         if a.shape != (self.num_vars,):
             raise DimensionMismatch(f"constraint length {a.size} != {self.num_vars} variables")
-        self.constraints.append(Constraint(a, relation, float(rhs)))
+        self.add_constraints(a[None, :], relation, rhs)
+
+    def add_constraints(self, rows, relation, rhs) -> None:
+        """Append a block of rows.
+
+        rows is an (r, num_vars) array; relation is one Relation for the
+        whole block or a sequence of r; rhs is one number or a sequence of r.
+        A first block that is a float64 array owning its memory becomes the
+        storage itself rather than a copy, and is made read-only.
+        """
+        a = np.asarray(rows, dtype=float)
+        if a.ndim != 2 or a.shape[1] != self.num_vars:
+            raise DimensionMismatch(f"constraint block {a.shape} for {self.num_vars} variables")
+        r = a.shape[0]
+        b = np.asarray(rhs, dtype=float)
+        if b.shape not in ((), (r,)):
+            raise DimensionMismatch(f"{b.size} right-hand sides for {r} rows")
+        rels = [relation] * r if isinstance(relation, Relation) else list(relation)
+        if len(rels) != r or not all(isinstance(rel, Relation) for rel in rels):
+            raise DimensionMismatch(f"{r} rows need {r} relations")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise NonFiniteInput("constraint coefficients and right-hand sides must be finite")
+        k = len(self._relations)
+        if k == 0 and a.base is None and a.flags.c_contiguous:
+            a.flags.writeable = False  # rows change only through these adds
+            self._rows, self._rhs = a, np.broadcast_to(b, (r,)).copy()
+        else:
+            if k + r > len(self._rows):
+                grown = np.empty((max(k + r, 2 * k), self.num_vars))
+                grown[:k] = self._rows[:k]  # rows past len(_relations) are spare
+                self._rows = grown
+                self._rhs = np.concatenate([self._rhs[:k], np.empty(len(grown) - k)])
+            self._rows[k : k + r] = a
+            self._rhs[k : k + r] = b
+        self._relations += rels
 
     def set_bounds(self, index: int, lower: float = 0.0, upper: float = np.inf) -> None:
         if not 0 <= index < self.num_vars:
             raise DimensionMismatch(f"variable index {index} out of range")
+        name = self.names[index]
+        if not math.isfinite(lower):
+            raise NonFiniteInput(f"lower bound of {name} must be finite, got {lower}")
+        if math.isnan(upper) or upper == -math.inf:
+            raise NonFiniteInput(f"upper bound of {name} must be a number or +inf, got {upper}")
         if lower < 0:
-            raise NonPositiveInput(f"lower bound of {self.names[index]} must be >= 0")
+            raise NonPositiveInput(f"lower bound of {name} must be >= 0")
         if upper < lower:
-            raise NonPositiveInput(f"empty bound interval for {self.names[index]}")
+            raise NonPositiveInput(f"empty bound interval for {name}")
         self.lower[index] = float(lower)
         self.upper[index] = float(upper)
 
@@ -91,6 +175,12 @@ class LinearProgram:
             hi = "inf" if np.isinf(self.upper[i]) else f"{self.upper[i]:g}"
             lines.append(f"  {self.lower[i]:g} <= {self.names[i]} <= {hi}")
         return "\n".join(lines)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass

@@ -37,18 +37,20 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
     n = lp.num_vars
     shift = lp.lower.copy()
     bounded = np.flatnonzero(np.isfinite(lp.upper))
-    k = len(lp.constraints)
+    k = len(lp.relations)
     m = k + bounded.size
 
     # rows over shifted variables y = x - lower >= 0; sense is +1 for <=,
     # -1 for >= and 0 for =. One dot product per row: a matrix product
-    # would round the shifted right-hand sides differently.
+    # would round the shifted right-hand sides differently. Without a
+    # shift every product is +0.0 and subtracting it changes nothing.
     rhs = np.empty(m)
-    sense = np.ones(m)
-    for r, con in enumerate(lp.constraints):
-        rhs[r] = con.rhs - float(con.coeffs @ shift)
-        sense[r] = _SENSE[con.relation]
+    rhs[:k] = lp.rhs
+    if shift.any():
+        rhs[:k] -= [row.dot(shift) for row in lp.matrix]
     rhs[k:] = lp.upper[bounded] - shift[bounded]
+    sense = np.ones(m)
+    sense[:k] = [_SENSE[rel] for rel in lp.relations]
 
     # normalize right-hand sides to be nonnegative
     flip = rhs < 0
@@ -62,8 +64,7 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
     ncols = n + n_slack + n_art
     T = np.zeros((m + 1, ncols + 1))
     A = T[:m, :n]
-    if k:
-        A[:k] = [con.coeffs for con in lp.constraints]
+    A[:k] = lp.matrix
     A[k + np.arange(bounded.size), bounded] = 1.0
     A[flip] = -A[flip]
     T[:m, ncols] = rhs
@@ -109,17 +110,17 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
             basis = np.delete(basis, drop_rows)
             m -= len(drop_rows)
 
-    # phase 2: minimize -objective over structural + slack columns
-    T2 = np.empty((m + 1, n + n_slack + 1))
-    T2[:, : n + n_slack] = T[:, : n + n_slack]
-    T2[:, n + n_slack] = T[:, ncols]
-    obj = np.zeros(n + n_slack + 1)
-    obj[:n] = -lp.objective
-    T2[m, :] = obj
-    for r in range(m):
-        f = T2[m, basis[r]]
-        if f != 0.0:
-            T2[m, :] -= f * T2[r, :]
+    # phase 2: minimize -objective over structural + slack columns. The
+    # artificial columns are done with, so the right-hand side moves into the
+    # first of them and phase 2 pivots on a view of the same tableau.
+    T[:, n + n_slack] = T[:, ncols]
+    T2 = T[:, : n + n_slack + 1]
+    T2[m, :] = 0.0
+    T2[m, :n] = -lp.objective
+    # basic columns are unit vectors, so a row whose basic column has a zero
+    # cost would only subtract zeros; the others go in row order
+    for r in np.flatnonzero(T2[m, basis]):
+        T2[m, :] -= T2[m, basis[r]] * T2[r, :]
     code, iters = kernel.run_pivots(T2, basis, n + n_slack, PIVOT_TOL, max_iter)
     iterations += iters
     if code == _kernel_py.ITERATION_LIMIT:
@@ -147,15 +148,12 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
 
 def _max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest constraint/bound violation of x (diagnostic)."""
-    worst = 0.0
-    for con in lp.constraints:
-        lhs = float(con.coeffs @ x)
-        if con.relation is Relation.LE:
-            worst = max(worst, lhs - con.rhs)
-        elif con.relation is Relation.GE:
-            worst = max(worst, con.rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - con.rhs))
+    # one dot product per row, as in the rhs shift: a matrix product would
+    # round the left-hand sides differently
+    excess = np.array([row.dot(x) for row in lp.matrix]) - lp.rhs
+    sense = np.array([_SENSE[rel] for rel in lp.relations])
+    excess = np.where(sense == 0.0, np.abs(excess), sense * excess)
+    worst = max(0.0, float(np.max(excess, initial=0.0)))  # +0.0, never -0.0
     worst = max(worst, float(np.max(lp.lower - x, initial=0.0)))
     finite = np.isfinite(lp.upper)
     if finite.any():

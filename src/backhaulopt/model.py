@@ -179,10 +179,15 @@ class NetworkTopology:
 
     def subtree(self, bs_id: int) -> tuple[int, ...]:
         """BS ids under bs_id in preorder, child links by ascending id; a slice of the macro's."""
-        order, spans = self._tree
+        order, _ = self._tree
+        return order[self.subtree_slice(bs_id)]
+
+    def subtree_slice(self, bs_id: int) -> slice:
+        """Where subtree(bs_id) sits in subtree(macro.id), the preorder of the whole tree."""
+        spans = self._tree[1]
         if bs_id not in spans:
             raise UnknownBS(f"B{bs_id} is not reached from the macro")
-        return order[spans[bs_id]]
+        return spans[bs_id]
 
     def small_bs_ids(self) -> list[int]:
         return [s.id for s in self.stations if s.kind == SMALL]

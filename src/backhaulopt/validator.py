@@ -146,18 +146,18 @@ def validate_schedule(
             continue
 
         footprint = footprints[link.id] = _merge(entry.footprint)
+        footprint_total = _total(footprint)
         if _bad_geometry(entry.footprint):
             add("FootprintMismatch", f"link {link.id} footprint leaves the frame")
-        if _total(entry.footprint) - _total(footprint) > TOL_INTERVAL:
+        if _total(entry.footprint) - footprint_total > TOL_INTERVAL:
             add("FootprintMismatch", f"link {link.id} footprint intervals overlap")
 
-        parent_times = [(s, e) for _, s, e in entry.parent_side]
-        child_times = [(s, e) for _, s, e in entry.child_side]
         merged = []  # each side's times, merged once
+        active = []  # each side's summed transmit time, pieces as given
 
-        for label, pieces, times, bs in (
-            ("first link", entry.parent_side, parent_times, link.parent),
-            ("last link", entry.child_side, child_times, link.child),
+        for label, pieces, bs in (
+            ("first link", entry.parent_side, link.parent),
+            ("last link", entry.child_side, link.child),
         ):
             station = topology.station(bs)
             for chain, s, e in pieces:
@@ -168,16 +168,19 @@ def validate_schedule(
                         f"which has {station.radio_chains} radio chains",
                     )
                 chain_claims.setdefault((bs, chain), []).append((s, e, link.id))
+            times = [(s, e) for _, s, e in pieces]
             merged.append(_merge(times))
+            active.append(_total(times))
+            merged_total = _total(merged[-1])
             if _bad_geometry(times):
                 add("ActiveOutsideFootprint", f"link {link.id} {label} leaves the frame")
-            uncovered = _total(merged[-1]) - _overlap(merged[-1], footprint)
+            uncovered = merged_total - _overlap(merged[-1], footprint)
             if uncovered > TOL_INTERVAL:
                 add(
                     "ActiveOutsideFootprint",
                     f"link {link.id} {label} transmits {uncovered:.3e} outside its footprint",
                 )
-            if _total(times) - _total(merged[-1]) > TOL_INTERVAL:
+            if active[-1] - merged_total > TOL_INTERVAL:
                 add(
                     "ChainOverlap",
                     f"link {link.id} {label} transmits on two chains at once",
@@ -191,12 +194,11 @@ def validate_schedule(
                     f"link {link.id} first and last links overlap by {cross:.3e}",
                 )
 
-        pf = _total(parent_times)
-        pl = _total(child_times)
-        if abs(_total(footprint) - pf / link.p_first_max) > TOL_INTERVAL:
+        pf, pl = active
+        if abs(footprint_total - pf / link.p_first_max) > TOL_INTERVAL:
             add(
                 "FootprintMismatch",
-                f"link {link.id} footprint {_total(footprint):.12f} != "
+                f"link {link.id} footprint {footprint_total:.12f} != "
                 f"active/duty {pf / link.p_first_max:.12f}",
             )
         if abs(pf / link.p_first_max - pl / link.p_last_max) > 2 * TOL_INTERVAL:

@@ -1,10 +1,10 @@
 """Independent references the test suite checks the package against.
 
 Everything here is closed-form arithmetic, brute-force enumeration over
-basic solutions, or a full-rescan replay of the topology generator; nothing
-calls the package's simplex solver, LP builders or generator. Agreement
-between these references and the package is therefore a two-route check,
-not a tautology.
+basic solutions, a full-rescan replay of the topology generator, or the
+demand LP built one Python-list row at a time; nothing calls the package's
+simplex solver, LP builders or generator. Agreement between these
+references and the package is therefore a two-route check, not a tautology.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 
 from backhaulopt.formulations import Interference, RadioChains
-from backhaulopt.lp.problem import Relation
+from backhaulopt.lp.problem import LinearProgram, Relation
 from backhaulopt.model import subtree_bs_set
 
 COMBO_CAP = 400_000  # refuse enumerations bigger than this
@@ -115,6 +116,67 @@ def aggregate_bound(topology, setting, floors=None):
     return value, arg
 
 
+def reference_demand_lp(topology, setting, demand_names, demand_cols, floors=None):
+    """The demand LP formulations' builder must produce, and its carried counts.
+
+    This is the builder's slow route: every row starts as a [0.0] * num_vars
+    list and goes in through add_constraint, in the builder's row order
+    (links, then interference pairs under LI, then each BS with a nonzero
+    row under LR). Returns (lp, carried), carried mapping each link id to
+    {demand column: subtree BSs on it} in the subtree's preorder.
+    """
+    with_p = (
+        setting.interference is Interference.LIMITED
+        or setting.radio_chains is RadioChains.LIMITED
+    )
+    names = list(demand_names)
+    p_cols = {}
+    if with_p:
+        for link in topology.links:
+            p_cols[link.id] = len(names)
+            names.append(f"p_f[{link.id}]")
+    lp = LinearProgram(len(names), names)
+    obj = [0.0] * lp.num_vars
+    for col in demand_cols.values():
+        obj[col] = 1.0
+    lp.set_objective(obj)
+
+    carried = {}
+    for link in topology.links:
+        counts = carried[link.id] = Counter(demand_cols[b] for b in topology.subtree(link.child))
+        row = [0.0] * lp.num_vars
+        for col, count in counts.items():
+            row[col] = -float(count)
+        if with_p:
+            row[p_cols[link.id]] = link.capacity_gbps / link.p_first_max
+            lp.add_constraint(row, Relation.GE, 0.0)
+        else:
+            lp.add_constraint(row, Relation.GE, -link.capacity_gbps)
+    if with_p:
+        for link in topology.links:
+            lp.set_bounds(p_cols[link.id], 0.0, link.p_first_max)
+        if setting.interference is Interference.LIMITED:
+            for a, b in topology.interference_pairs:
+                row = [0.0] * lp.num_vars
+                row[p_cols[a]] = 1.0 / topology.link(a).p_first_max
+                row[p_cols[b]] = 1.0 / topology.link(b).p_first_max
+                lp.add_constraint(row, Relation.LE, 1.0)
+        if setting.radio_chains is RadioChains.LIMITED:
+            for s in topology.stations:
+                row = [0.0] * lp.num_vars
+                inbound = topology.inbound_link(s.id)
+                if inbound is not None:
+                    row[p_cols[inbound.id]] = inbound.p_last_max / inbound.p_first_max
+                for child in topology.child_links(s.id):
+                    row[p_cols[child.id]] += 1.0
+                if any(row):
+                    lp.add_constraint(row, Relation.LE, float(s.radio_chains))
+    for b, floor in (floors or {}).items():
+        if floor > 0.0:
+            lp.set_bounds(demand_cols[b], floor, math.inf)
+    return lp, carried
+
+
 def lp_rows(lp):
     """Flatten a LinearProgram into (c, A, b) with A x <= b, bounds included."""
     rows, rhs = [], []
@@ -133,6 +195,24 @@ def lp_rows(lp):
         rows.append(-eye[j])
         rhs.append(-float(lp.lower[j]))
     return np.asarray(lp.objective, dtype=float), np.array(rows), np.array(rhs)
+
+
+def reference_residual(lp, x):
+    """Largest constraint or bound violation of x, one constraint at a time."""
+    worst = 0.0
+    for con in lp.constraints:
+        lhs = float(con.coeffs @ x)
+        if con.relation is Relation.LE:
+            worst = max(worst, lhs - con.rhs)
+        elif con.relation is Relation.GE:
+            worst = max(worst, con.rhs - lhs)
+        else:
+            worst = max(worst, abs(lhs - con.rhs))
+    worst = max(worst, float(np.max(lp.lower - x, initial=0.0)))
+    finite = np.isfinite(lp.upper)
+    if finite.any():
+        worst = max(worst, float(np.max((x - lp.upper)[finite], initial=0.0)))
+    return worst
 
 
 def enumerate_max(c, A, b, feas_tol=1e-7, det_tol=1e-9):

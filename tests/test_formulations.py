@@ -317,6 +317,66 @@ def test_demand_lps_and_decodes_frozen():
     )
 
 
+# -- the array builder against the row-by-row reference ----------------------
+
+_BUILDER_SIZES = (1, 2, 5, 20, 80, 200)
+_BUILDER_SEEDS = (1, 2, 3)
+
+
+def _lp_image(lp):
+    """Everything a build decides, as bytes and exact hex."""
+    return (
+        lp.names,
+        [array.tobytes() for array in (lp.objective, lp.lower, lp.upper)],
+        [con.coeffs.tobytes() for con in lp.constraints],
+        [con.relation for con in lp.constraints],
+        [con.rhs.hex() for con in lp.constraints],
+    )
+
+
+def _carried_image(carried):
+    return [(link_id, list(counts.items())) for link_id, counts in carried.items()]
+
+
+def _builds(topo, setting):
+    """(package build, reference build) of equal demand and of aggregate
+    demand without and with floors, some of them zero."""
+    small = topo.small_bs_ids()
+    names = [f"D[{b}]" for b in small]
+    cols = {b: i for i, b in enumerate(small)}
+    floors = {b: 0.25 * (i % 3) for i, b in enumerate(small)}
+    reference = oracles.reference_demand_lp
+    yield (
+        build_equal_demand_lp(topo, setting),
+        reference(topo, setting, ["D_B"], dict.fromkeys(small, 0)),
+    )
+    yield build_aggregate_lp(topo, setting), reference(topo, setting, names, cols)
+    yield (
+        build_aggregate_lp(topo, setting, floors),
+        reference(topo, setting, names, cols, floors),
+    )
+
+
+@pytest.mark.parametrize("n", _BUILDER_SIZES)
+def test_array_builder_matches_the_row_builder(n):
+    for seed in _BUILDER_SEEDS:
+        base = generate_topology(
+            GeneratorConfig(
+                seed=seed,
+                num_small_bs=n,
+                macro_degree=min(n, 4),
+                interference_pair_budget=n // 3,
+            )
+        )
+        # generated links have P_l = P_f; the redrawn profiles do not
+        for tree in (base, _random_profiles(base, random.Random(seed))):
+            for topo, setting in _setting_cases(tree):
+                for (got, vmap), (want, carried) in _builds(topo, setting):
+                    label = (n, seed, setting.name, got.names[0])
+                    assert _lp_image(got) == _lp_image(want), label
+                    assert _carried_image(vmap.carried) == _carried_image(carried), label
+
+
 # -- the closed form against the LP route ------------------------------------
 
 _ROUTE_TREES = 180  # generated trees beyond the freeze trees, x 6 settings

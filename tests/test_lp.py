@@ -1,10 +1,18 @@
 """Two-phase simplex: frozen optima, frozen pivots, cycling resistance, failures."""
 
+import math
+
 import numpy as np
 import pytest
 
 import oracles
-from backhaulopt.errors import BackhaulError, DimensionMismatch, NonPositiveInput, SolverFailure
+from backhaulopt.errors import (
+    BackhaulError,
+    DimensionMismatch,
+    NonFiniteInput,
+    NonPositiveInput,
+    SolverFailure,
+)
 from backhaulopt.formulations import build_aggregate_lp, build_equal_demand_lp, parse_setting
 from backhaulopt.generator import GeneratorConfig, adapt_topology, generate_topology
 from backhaulopt.lp import LinearProgram, LpStatus, Relation, solve
@@ -125,6 +133,108 @@ def test_input_validation():
         lp.set_bounds(0, lower=-1.0)
 
 
+def test_block_shape_validation():
+    lp = LinearProgram(2)
+    with pytest.raises(DimensionMismatch):
+        lp.add_constraints([1.0, 1.0], Relation.LE, 1.0)  # one row, not a block
+    with pytest.raises(DimensionMismatch):
+        lp.add_constraints([[1.0, 1.0, 1.0]], Relation.LE, 1.0)
+    with pytest.raises(DimensionMismatch):
+        lp.add_constraints([[1.0, 1.0], [0.0, 1.0]], Relation.LE, [1.0, 2.0, 3.0])
+    with pytest.raises(DimensionMismatch):
+        lp.add_constraints([[1.0, 1.0], [0.0, 1.0]], [Relation.LE], 1.0)
+    with pytest.raises(DimensionMismatch):
+        lp.add_constraints([[1.0, 1.0]], ["<="], 1.0)
+    assert lp.constraints == ()
+
+
+def _four_by_two():
+    """max x + y subject to x + y <= 4: optimum 4."""
+    lp = LinearProgram(2)
+    lp.set_objective([1.0, 1.0])
+    lp.add_constraint([1.0, 1.0], Relation.LE, 4.0)
+    return lp
+
+
+# every way a NaN or an infinity can enter a program; each must raise at once
+# and leave the program as it was
+NON_FINITE = {
+    "nan rhs": lambda lp: lp.add_constraint([1.0, 0.0], Relation.LE, math.nan),
+    "inf rhs": lambda lp: lp.add_constraint([1.0, 0.0], Relation.GE, -math.inf),
+    "nan coefficient": lambda lp: lp.add_constraint([math.nan, 1.0], Relation.LE, 1.0),
+    "inf coefficient in a block": lambda lp: lp.add_constraints(
+        [[1.0, 0.0], [math.inf, 1.0]], Relation.LE, [1.0, 2.0]
+    ),
+    "nan rhs in a block": lambda lp: lp.add_constraints(
+        [[1.0, 0.0], [0.0, 1.0]], Relation.LE, [1.0, math.nan]
+    ),
+    "nan objective": lambda lp: lp.set_objective([math.nan, 1.0]),
+    "inf objective": lambda lp: lp.set_objective([1.0, math.inf]),
+    "nan lower bound": lambda lp: lp.set_bounds(0, math.nan),
+    "inf lower bound": lambda lp: lp.set_bounds(0, math.inf),
+    "nan upper bound": lambda lp: lp.set_bounds(0, 0.0, math.nan),
+    "-inf upper bound": lambda lp: lp.set_bounds(0, 0.0, -math.inf),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_input_is_rejected(case):
+    lp = _four_by_two()
+    with pytest.raises(NonFiniteInput):
+        NON_FINITE[case](lp)
+    assert len(lp.constraints) == 1
+    assert lp.lower.tolist() == [0.0, 0.0] and lp.upper.tolist() == [math.inf, math.inf]
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL and sol.objective_value == 4.0
+
+
+def test_infinite_upper_bound_is_no_bound():
+    lp = _four_by_two()
+    lp.set_bounds(0, 1.0, math.inf)
+    assert solve(lp).objective_value == 4.0
+
+
+def test_constraints_view_reads_the_matrix():
+    lp = LinearProgram(3)
+    lp.add_constraints(
+        [[1.0, 0.0, 2.0], [0.0, -1.0, 0.0]], [Relation.LE, Relation.EQ], [4.0, -1.0]
+    )
+    lp.add_constraint([0.5, 0.5, 0.5], Relation.GE, 0.25)
+    rows = lp.constraints
+    assert [con.relation for con in rows] == [Relation.LE, Relation.EQ, Relation.GE]
+    assert [type(con.rhs) for con in rows] == [float] * 3
+    assert [con.rhs for con in rows] == [4.0, -1.0, 0.25]
+    assert np.array_equal(np.stack([con.coeffs for con in rows]), lp.matrix)
+    # rows enter only through the checked adds: every view is read-only
+    for write in (
+        lambda: rows[0].coeffs.__setitem__(0, 7.0),
+        lambda: lp.matrix.__setitem__((0, 0), 7.0),
+        lambda: lp.rhs.__setitem__(0, 7.0),
+    ):
+        with pytest.raises(ValueError):
+            write()
+    assert lp.matrix[0, 0] == 1.0 and lp.rhs[0] == 4.0
+
+
+def test_first_block_is_taken_over_read_only():
+    block = np.array([[1.0, 1.0], [1.0, -1.0]])
+    lp = LinearProgram(2)
+    lp.set_objective([1.0, 0.0])
+    lp.add_constraints(block, Relation.LE, [4.0, 0.0])
+    with pytest.raises(ValueError):
+        block[0, 0] = 9.0  # the program owns it now
+    view = np.ones((4, 2))[::2]  # does not own its memory, so it is copied
+    lp.add_constraints(view, Relation.GE, 0.0)
+    view[0, 0] = 9.0
+    assert lp.matrix.tolist() == [[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, 1.0]]
+    assert solve(lp).objective_value == 2.0
+    fresh = LinearProgram(2)
+    rejected = np.array([[1.0, math.nan]])
+    with pytest.raises(NonFiniteInput):
+        fresh.add_constraints(rejected, Relation.LE, 1.0)
+    assert fresh.constraints == () and rejected.flags.writeable
+
+
 def test_residual_reported_small():
     lp = LinearProgram(2)
     lp.set_objective([1.0, 1.0])
@@ -179,6 +289,19 @@ def test_matches_enumeration_on_random_lps():
     assert statuses["optimal"] > 40
 
 
+def test_residual_matches_the_row_by_row_reference():
+    rng = np.random.default_rng(7)
+    lps = [_random_lp(rng) for _ in range(150)] + [*_formulation_lps(3).values()]
+    checked = 0
+    for lp in lps:
+        sol = solve(lp)
+        if sol.is_optimal:
+            want = oracles.reference_residual(lp, sol.assignment)
+            assert sol.residual.hex() == want.hex(), lp.dump()
+            checked += 1
+    assert checked > 40
+
+
 def _formulation_lps(seed, n=80):
     """The three objectives' LPs on one generated LI-LR(2) tree, n/3 pairs."""
     setting, macro_chains = parse_setting("LI-LR(2)")
@@ -215,6 +338,40 @@ def test_formulation_lps_keep_their_pivots_and_optimum(seed):
         assert sol.status is LpStatus.OPTIMAL
         got = (sol.iterations, sol.objective_value.hex())
         assert got == FROZEN_PIVOTS[seed, objective], objective
+
+
+def _rebuilt(lp, one_block):
+    """The same program, its rows added one at a time or in one block."""
+    out = LinearProgram(lp.num_vars, lp.names)
+    out.set_objective(lp.objective)
+    if one_block:
+        out.add_constraints(lp.matrix, lp.relations, lp.rhs)
+    else:
+        for con in lp.constraints:
+            out.add_constraint(con.coeffs, con.relation, con.rhs)
+    for j in range(lp.num_vars):
+        out.set_bounds(j, lp.lower[j], lp.upper[j])
+    return out
+
+
+def _solve_image(lp):
+    sol = solve(lp)
+    return (
+        sol.status,
+        sol.iterations,
+        sol.assignment.tobytes(),
+        sol.objective_value.hex(),
+        float(sol.residual).hex(),
+    )
+
+
+def test_row_by_row_and_one_block_solve_identically():
+    lps = [*_formulation_lps(3).values()]
+    lps.append(_formulation_lps(11)["aggregate_fair"])
+    for lp in lps:
+        rows, block = _rebuilt(lp, one_block=False), _rebuilt(lp, one_block=True)
+        assert np.array_equal(rows.matrix, block.matrix)
+        assert _solve_image(rows) == _solve_image(block) == _solve_image(lp)
 
 
 class _StuckKernel:

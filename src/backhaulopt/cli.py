@@ -32,7 +32,7 @@ from backhaulopt.formulations import (
     solve_objective,
 )
 from backhaulopt.generator import GeneratorConfig, adapt_topology, generate_topology
-from backhaulopt.model import load_topology, save_topology, topology_to_dict
+from backhaulopt.model import load_topology, topology_to_dict
 from backhaulopt.scheduler import build_schedule, schedule_from_dict, schedule_to_dict
 from backhaulopt.validator import validate_schedule
 
@@ -91,11 +91,7 @@ def cmd_generate(args) -> int:
         interference_pair_budget=args.pairs,
         phy_rate_gbps=args.phy_rate,
     )
-    topology = generate_topology(config)
-    if args.out == "-":
-        print(json.dumps(topology_to_dict(topology), indent=2, sort_keys=True))
-    else:
-        save_topology(topology, args.out)
+    _emit(topology_to_dict(generate_topology(config)), args.out)
     return 0
 
 

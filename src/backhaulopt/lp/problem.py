@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,7 +189,6 @@ class LpSolution:
     objective_value: float | None = None
     assignment: np.ndarray | None = None
     iterations: int = 0
-    variables: dict[str, float] = field(default_factory=dict)
     residual: float = 0.0  # worst constraint violation of the returned point
 
     @property

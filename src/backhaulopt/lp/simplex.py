@@ -141,7 +141,6 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
         objective_value=value,
         assignment=x,
         iterations=iterations,
-        variables={name: float(v) for name, v in zip(lp.names, x)},
         residual=residual,
     )
 

@@ -206,8 +206,8 @@ def subtree_bs_set(topology: NetworkTopology, bs_id: int) -> frozenset[int]:
     """BS ids in the subtree rooted at bs_id, including bs_id itself.
 
     For a link L_i this is the serving set of its child BS i: every BS whose
-    traffic crosses the link. An independent walk per call: the reference
-    that validate_tree and the tests hold NetworkTopology.subtree to.
+    traffic crosses the link. An independent walk per call that raises
+    UnknownBS at a link to a missing BS: the tests' reference for the index.
     """
     topology.station(bs_id)
     seen = set()
@@ -223,7 +223,10 @@ def subtree_bs_set(topology: NetworkTopology, bs_id: int) -> frozenset[int]:
 
 
 def validate_tree(topology: NetworkTopology) -> list[ModelViolation]:
-    """Structural checks; empty list means the topology is a valid tree."""
+    """Structural checks; empty list means the topology is a valid tree.
+
+    Reachability reads the tree index, so a link to a missing BS is reported
+    (UnknownEndpoint), not raised."""
     out: list[ModelViolation] = []
     macros = [s for s in topology.stations if s.kind == MACRO]
     if not macros:
@@ -267,7 +270,7 @@ def validate_tree(topology: NetworkTopology) -> list[ModelViolation]:
 
     if len(macros) == 1:
         # every small BS must be reachable from the macro with exactly one inbound link
-        reached = subtree_bs_set(topology, macros[0].id)
+        reached = set(topology.subtree(macros[0].id))
         for s in topology.stations:
             if s.kind == SMALL and s.id not in reached:
                 out.append(ModelViolation("NotATree", f"B{s.id} unreachable from macro"))

@@ -276,9 +276,9 @@ def _finish_link(state: _State, link, plan: _LinkPlan) -> None:
     state.plans[link.id] = plan
 
 
-def _place_link(state, link, plan, forbidden, reuse_first=False):
+def _place_link(state, link, plan, forbidden):
     _place_actives(state, link, plan, forbidden)
-    _place_pause(state, link, plan, forbidden, reuse_first)
+    _place_pause(state, link, plan, forbidden, reuse_first=False)
     _finish_link(state, link, plan)
 
 

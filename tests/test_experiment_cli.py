@@ -2,7 +2,9 @@
 
 import copy
 import csv
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -16,7 +18,9 @@ from backhaulopt.experiment import (
     run_trial,
     write_results,
 )
+from backhaulopt.generator import GeneratorConfig, generate_topology
 from backhaulopt.lp import _kernel_py
+from backhaulopt.model import save_topology
 
 
 def test_trial_covers_every_setting_and_objective():
@@ -47,6 +51,20 @@ def test_csv_files_reproduce_byte_for_byte(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["trial", "seed", *SETTING_NAMES]
     assert len(rows) == 1 + 4  # header + one row per trial
+
+
+def test_experiment_tables_frozen(tmp_path):
+    # the five tables, byte for byte, for two base seeds of 40 trials
+    digest = hashlib.sha256()
+    for seed in (1, 2027):
+        config = ExperimentConfig(seed=seed, trials=40, interference_pair_budget=6)
+        for path in write_results(run_experiment(config), str(tmp_path / str(seed))):
+            digest.update(os.path.basename(path).encode())
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+    assert digest.hexdigest() == (
+        "d59bd97eea061b74a7518358fc0fe4e1882bc7dc40c946668f820491acf0af1d"
+    )
 
 
 def test_cli_pipeline_round_trip(tmp_path, capsys):
@@ -206,6 +224,36 @@ def test_cli_schedule_rejects_a_non_tree(tmp_path, capsys):
     assert "NotATree" in capsys.readouterr().err
 
 
+def _write_link_to_unknown_bs(tmp_path):
+    """A solved and scheduled tree, then one link retargeted to a BS 9 that does not exist."""
+    topo, sol, sched = (str(tmp_path / n) for n in ("t.json", "s.json", "f.json"))
+    main(["generate", "--seed", "3", "--small-bs", "8", "--macro-degree", "3",
+          "--pairs", "2", "--out", topo])
+    main(["solve", topo, "--setting", "LI-LR(2)", "--out", sol])
+    main(["schedule", topo, sol, "--out", sched])
+    with open(topo) as fh:
+        data = json.load(fh)
+    data["links"][-1]["child"] = 9
+    with open(topo, "w") as fh:
+        json.dump(data, fh)
+    return topo, sol, sched
+
+
+@pytest.mark.parametrize("command", ["solve", "schedule", "validate"])
+def test_cli_rejects_a_link_to_an_unknown_bs(tmp_path, capsys, command):
+    topo, sol, sched = _write_link_to_unknown_bs(tmp_path)
+    argv = {
+        "solve": ["solve", topo, "--setting", "LI-LR(2)"],
+        "schedule": ["schedule", topo, sol],
+        "validate": ["validate", topo, sol, sched],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert "UnknownEndpoint" in out.err
+    assert out.out == ""
+
+
 def test_cli_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     topo = tmp_path / "t.json"
     main(["generate", "--seed", "4", "--out", str(topo)])
@@ -257,6 +305,16 @@ def test_cli_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     # equal demand has a closed form; the aggregate objectives still pivot
     assert main(["solve", str(topo), "--setting", "LI-LR(2)", "--objective", "aggregate"]) == 3
     assert "iteration limit" in capsys.readouterr().err
+
+
+def test_cli_generate_writes_the_saved_topology_bytes(tmp_path, capsys):
+    saved, out = tmp_path / "saved.json", tmp_path / "out.json"
+    save_topology(generate_topology(GeneratorConfig(seed=4, interference_pair_budget=2)), saved)
+    capsys.readouterr()
+    assert main(["generate", "--seed", "4", "--pairs", "2", "--out", str(out)]) == 0
+    assert main(["generate", "--seed", "4", "--pairs", "2", "--out", "-"]) == 0
+    assert out.read_bytes() == saved.read_bytes()
+    assert capsys.readouterr().out.encode() == saved.read_bytes()
 
 
 def test_cli_seed_env_override(tmp_path, monkeypatch):

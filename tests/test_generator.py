@@ -207,3 +207,20 @@ def test_adapt_topology_chain_policies():
     assert all(lr.station(b).radio_chains == 1 for b in lr.small_bs_ids())
     with pytest.raises(InconsistentInput):
         adapt_topology(topo, parse_setting("MI-LR")[0])  # LR needs a count
+
+
+def test_generated_chain_counts_are_the_er_counts():
+    # an experiment trial uses generated trees for the ER settings as they come
+    er = parse_setting("MI-ER")[0]
+    for n in (1, 2, 5, 20, 80, 200):
+        for macro_degree in sorted({1, min(n, 3), min(n, 8), n}):
+            for max_children in (0, 1, 2, 3):
+                if max_children == 0 and macro_degree < n:
+                    continue  # nowhere to attach: rejected by the config check
+                for seed in (0, 1, 2):
+                    topo = generate_topology(GeneratorConfig(
+                        seed=seed, num_small_bs=n, macro_degree=macro_degree,
+                        max_small_children=max_children, interference_pair_budget=n // 3,
+                    ))
+                    for t in (topo, strip_interference(topo)):
+                        assert adapt_topology(t, er).stations == t.stations

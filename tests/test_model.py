@@ -53,6 +53,10 @@ def malformed():
         "MacroInbound": NetworkTopology(
             _STATIONS, [make_link(0, 1, 0, 1), make_link(1, 0, 1, 1), make_link(2, 0, 2, 1)]
         ),
+        # link 9 runs from B1 into a B9 that does not exist
+        "UnknownEndpoint": NetworkTopology(
+            _STATIONS, [make_link(1, 0, 1, 1), make_link(2, 0, 2, 1), make_link(9, 1, 9, 1)]
+        ),
         "BadRadioChains": NetworkTopology(
             [BaseStation(0, MACRO, 0), BaseStation(1, SMALL, 1)],
             [make_link(1, 0, 1, 1, capacity_gbps=-1.0)],
@@ -141,6 +145,8 @@ def test_validate_tree_duplicate_macro():
 def test_validate_tree_structural_defects():
     for kind in ("LinkIdMismatch", "MissingInbound", "NotATree", "MacroInbound"):
         assert kind in kinds(validate_tree(malformed()[kind])), kind
+    # the walk from the macro reaches the missing B9 and reports, not raises
+    assert kinds(validate_tree(malformed()["UnknownEndpoint"])) == ["UnknownEndpoint"]
 
 
 def test_validate_tree_bad_fields():
@@ -242,6 +248,12 @@ def test_tree_index_matches_the_reference_walks():
             continue
         # building the index ends even where the macro reaches a cycle
         reach = topo.subtree(topo.macro.id)
+        if kind == "UnknownEndpoint":
+            # the reference walk raises on the missing station; the index keeps it as a leaf
+            assert reach == (0, 1, 9, 2)
+            with pytest.raises(UnknownBS):
+                subtree_bs_set(topo, topo.macro.id)
+            continue
         assert set(reach) == subtree_bs_set(topo, topo.macro.id)
         for b in reach:
             # a slice holds what the walk reached first; on a tree, all of it
@@ -262,4 +274,5 @@ def test_a_trial_validates_each_topology_once(monkeypatch):
 
     monkeypatch.setattr(model, "validate_tree", counting)
     run_trial(ExperimentConfig(seed=5), 0)
-    assert len({id(t) for t in seen}) == len(seen) <= 8
+    # base, its stripped copy and the four LR(k) rewrites
+    assert len({id(t) for t in seen}) == len(seen) == 6

@@ -131,7 +131,8 @@ class NetworkTopology:
             if bs not in via:  # a cyclic topology must not hang us
                 via[bs] = parent  # the BS whose link the walk took to bs
                 order.append(bs)
-                stack += [(l.child, bs) for l in reversed(self._children.get(bs, ()))]
+                stack += [(l.child, bs) for l in reversed(self._children.get(bs, ()))
+                          if l.child in self._station_by_id]  # a missing BS is no leaf
         size = dict.fromkeys(order, 1)
         for bs in reversed(order[1:]):
             size[via[bs]] += size[bs]

@@ -17,12 +17,16 @@ time. Interfering links must have disjoint footprints; a link's own active
 intervals must never overlap in time even across chains.
 
 All endpoints are snapped to an integer grid of 1e-12 frame units, making
-interval arithmetic exact; emitted schedules are floats.
+interval arithmetic exact; emitted schedules are floats. Each radio chain's
+busy list is merged (sorted, disjoint, adjacent pieces joined) at all times:
+a placed piece is inserted where it belongs and joined to the neighbours it
+touches, never re-merged with the whole list.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from backhaulopt.errors import (
@@ -98,6 +102,39 @@ def _complement(blocked: list[tuple[int, int]], lo: int = 0, hi: int = GRID):
     return [(s, e) for s, e in gaps if e > s]
 
 
+def _take_free(blocked: list[tuple[int, int]], amount: int):
+    """Leftmost free time in [0, GRID) outside a merged list, totaling
+    min(amount, free): the pieces _take_leading takes from _complement."""
+    taken = []
+    cur = 0
+    for s, e in blocked:
+        if amount <= 0 or cur >= GRID:
+            break
+        if s > cur:
+            piece = min(amount, min(s, GRID) - cur)
+            taken.append((cur, cur + piece))
+            amount -= piece
+        cur = max(cur, e)
+    if amount > 0 and cur < GRID:
+        piece = min(amount, GRID - cur)
+        taken.append((cur, cur + piece))
+        amount -= piece
+    return taken, amount
+
+
+def _insert(busy: list[tuple[int, int]], s: int, e: int) -> None:
+    """Add [s, e) to a merged list in place, joining the pieces it touches."""
+    if e <= s:
+        return
+    lo = bisect_left(busy, (s, s))  # the first piece starting at or after s
+    if lo and busy[lo - 1][1] >= s:
+        lo -= 1
+    hi = bisect_right(busy, (e, math.inf))  # past the last piece starting at or before e
+    if lo < hi:
+        s, e = min(s, busy[lo][0]), max(e, busy[hi - 1][1])
+    busy[lo:hi] = [(s, e)]
+
+
 def _intersect(a: list[tuple[int, int]], b: list[tuple[int, int]]):
     out = []
     i = j = 0
@@ -163,8 +200,9 @@ class _State:
         return self.busy.get((bs, chain), [])
 
     def occupy(self, bs: int, chain: int, pieces: list[tuple[int, int]]) -> None:
-        key = (bs, chain)
-        self.busy[key] = _merge(self.busy.get(key, []) + pieces)
+        busy = self.busy.setdefault((bs, chain), [])
+        for s, e in pieces:
+            _insert(busy, s, e)
 
     def chains_in_use(self, bs: int) -> range:
         """The chains of bs that hold intervals, then the first free one.
@@ -179,10 +217,9 @@ class _State:
         return range(min(used + 1, self.topology.station(bs).radio_chains))
 
     def all_busy(self, bs: int) -> list[tuple[int, int]]:
-        merged: list[tuple[int, int]] = []
-        for c in self.chains_in_use(bs):
-            merged += self.chain_busy(bs, c)
-        return _merge(merged)
+        """Union of the chains of bs; one busy chain is its own union."""
+        lists = [busy for c in self.chains_in_use(bs) if (busy := self.chain_busy(bs, c))]
+        return lists[0] if len(lists) == 1 else _merge([p for busy in lists for p in busy])
 
 
 def _plan_for(link, p_first: dict[int, float]) -> _LinkPlan:
@@ -217,11 +254,13 @@ def _place_actives(state: _State, link, plan: _LinkPlan, forbidden: list[tuple[i
     for chain in state.chains_in_use(bs):
         if remaining <= 0:
             break
-        blocked = _merge(state.chain_busy(bs, chain) + forbidden + plan.active)
-        taken, remaining = _take_leading(_complement(blocked), remaining)
+        # every list here is merged already, and so are the pieces of one walk
+        busy = state.chain_busy(bs, chain)
+        blocked = _merge(busy + forbidden + plan.active) if forbidden or plan.active else busy
+        taken, remaining = _take_free(blocked, remaining)
         for s, e in taken:
             plan.parent_pieces.append((chain, s, e))
-        plan.active = _merge(plan.active + taken)
+        plan.active = _merge(plan.active + taken) if plan.active else taken
     if remaining > TRIM_CAP:
         raise PlacementFailure(
             link.id,
@@ -241,24 +280,23 @@ def _place_pause(
     other links' actives so blank chain time stays available."""
     needed = plan.footprint_need - _total(plan.active)
     if needed <= 0:
-        plan.footprint = _merge(plan.active)
+        plan.footprint = list(plan.active)
         return
-    blocked = _merge(forbidden + plan.active)
-    gaps = _complement(blocked)
-    taken: list[tuple[int, int]] = []
+    both = forbidden and plan.active
+    blocked = _merge(forbidden + plan.active) if both else forbidden or plan.active
     if reuse_first:
         covered = state.all_busy(link.parent)
-        first, needed = _take_leading(_intersect(gaps, covered), needed)
-        taken += first
-        gaps = _complement(_merge(blocked + taken))
-    more, needed = _take_leading(gaps, needed)
-    taken += more
+        first, needed = _take_leading(_intersect(_complement(blocked), covered), needed)
+        more, needed = _take_free(_merge(blocked + first), needed)
+        taken = _merge(first + more)
+    else:
+        taken, needed = _take_free(blocked, needed)
     if needed > TRIM_CAP:
         raise PlacementFailure(
             link.id,
             f"{needed / GRID:.3e} of pause time found no room in the frame",
         )
-    plan.pause = _merge(taken)
+    plan.pause = taken
     plan.footprint = _merge(plan.active + plan.pause)
 
 
@@ -360,7 +398,7 @@ def _emit(state: _State, topology: NetworkTopology) -> Schedule:
             footprint=[(s / GRID, e / GRID) for s, e in plan.footprint],
             parent_side=[
                 (chain, s / GRID, e / GRID)
-                for chain, s, e in sorted(plan.parent_pieces, key=lambda t: (t[0], t[1]))
+                for chain, s, e in sorted(plan.parent_pieces)
             ],
             child_side=[(chain, s / GRID, e / GRID) for chain, s, e in plan.child_pieces],
         )

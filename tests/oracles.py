@@ -1,9 +1,10 @@
 """Independent references the test suite checks the package against.
 
 Everything here is closed-form arithmetic, brute-force enumeration over
-basic solutions, a full-rescan replay of the topology generator, or the
-demand LP built one Python-list row at a time; nothing calls the package's
-simplex solver, LP builders or generator. Agreement between these
+basic solutions, a full-rescan replay of the topology generator, the
+demand LP built one Python-list row at a time, or interval lists merged
+again from scratch and summed with math.fsum; nothing calls the package's
+simplex solver, LP builders, generator, scheduler or validator. Agreement between these
 references and the package is therefore a two-route check, not a tautology.
 """
 
@@ -343,3 +344,40 @@ def reference_pairs(rng, ends, budget):
         taken.add((a, bs))
         taken.add((b, bs))
     return pairs
+
+
+# -- intervals: merged from scratch, summed with math.fsum -------------------
+
+
+def merged(intervals):
+    """Sorted disjoint union by one sort and sweep: adjacent pieces join,
+    empty and reversed ones drop out, a NaN piece stays."""
+    out = []
+    for s, e in sorted(intervals):
+        if e <= s:
+            continue
+        if out and s <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], e))
+        else:
+            out.append((s, e))
+    return out
+
+
+def occupancy_after(busy, pieces):
+    """A busy list once pieces are placed on it: the whole list merged again."""
+    return merged(list(busy) + list(pieces))
+
+
+def interval_total(intervals):
+    """math.fsum of the lengths; raises where fsum does."""
+    return math.fsum(e - s for s, e in intervals)
+
+
+def interval_overlap(a, b):
+    """math.fsum of the pairwise intersections of two merged lists."""
+    return math.fsum(
+        min(ae, be) - max(as_, bs)
+        for as_, ae in a
+        for bs, be in b
+        if max(as_, bs) < min(ae, be)
+    )

@@ -114,6 +114,26 @@ def test_cli_validate_flags_nan_schedule(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "footprint", [[[0.0, 1e308], [0.0, 1e308]], [[-1e308, 1e308], [1e308, -1e308]]]
+)
+def test_cli_validate_flags_huge_intervals(tmp_path, capsys, footprint):
+    # finite endpoints whose lengths overflow a float sum, or cancel as
+    # inf - inf, are violations, not an internal error
+    topo, sol, sched = (tmp_path / n for n in ("t.json", "s.json", "f.json"))
+    main(["generate", "--seed", "4", "--out", str(topo)])
+    main(["solve", str(topo), "--setting", "MI-ER", "--out", str(sol)])
+    main(["schedule", str(topo), str(sol), "--out", str(sched)])
+    data = json.loads(sched.read_text())
+    first = next(iter(data["links"]))
+    data["links"][first]["footprint"] = footprint
+    sched.write_text(json.dumps(data))
+    assert main(["validate", str(topo), str(sol), str(sched)]) == 1
+    out = capsys.readouterr()
+    assert "FootprintMismatch" in out.out
+    assert "internal error:" not in out.out + out.err
+
+
 def test_cli_non_finite_input_exits_3(tmp_path, capsys):
     topo, sol = tmp_path / "t.json", tmp_path / "s.json"
     main(["generate", "--seed", "4", "--out", str(topo)])

@@ -249,8 +249,13 @@ def test_tree_index_matches_the_reference_walks():
         # building the index ends even where the macro reaches a cycle
         reach = topo.subtree(topo.macro.id)
         if kind == "UnknownEndpoint":
-            # the reference walk raises on the missing station; the index keeps it as a leaf
-            assert reach == (0, 1, 9, 2)
+            # the index follows links into stations only, so the missing B9 is
+            # in no subtree and has none; the reference walk raises on it
+            assert reach == (0, 1, 2)
+            assert kinds(topo.violations) == ["UnknownEndpoint"]
+            for lookup in (topo.subtree, topo.subtree_slice):
+                with pytest.raises(UnknownBS):
+                    lookup(9)
             with pytest.raises(UnknownBS):
                 subtree_bs_set(topo, topo.macro.id)
             continue

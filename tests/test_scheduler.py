@@ -5,8 +5,12 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
+import oracles
+from backhaulopt import scheduler
 from backhaulopt.errors import (
     InconsistentInput,
     InvalidTopology,
@@ -191,6 +195,42 @@ def test_round_trip_across_settings_and_seeds():
             report = validate_schedule(topo, sched, p_first=sol.p_first, demands=sol.per_bs)
             assert report.ok, (seed, name, [str(v) for v in report.violations])
             assert report.realized_equal_demand == pytest.approx(sol.d_b_gbps, abs=1e-6)
+
+
+# -- chain occupancy ------------------------------------------------------------
+
+# small endpoints, so adjacent, nested, duplicate, empty and reversed pieces
+# come up often
+PIECES = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(placements=st.lists(st.tuples(st.integers(0, 2), PIECES), max_size=12))
+def test_occupy_keeps_busy_lists_merged(placements):
+    # every busy list equals the whole list merged again from scratch after
+    # every placement, and so does the union of the chains in use
+    state = scheduler._State(helpers.chain(hops=(1,), chains={1: 3}))
+    chains = {}
+    for chain, pieces in placements:
+        state.occupy(1, chain, pieces)
+        chains[(1, chain)] = oracles.occupancy_after(chains.get((1, chain), []), pieces)
+        assert state.busy == chains
+        in_use = [p for c in state.chains_in_use(1) for p in chains.get((1, c), [])]
+        assert state.all_busy(1) == oracles.merged(in_use)
+
+
+def test_occupy_never_merges_from_scratch(monkeypatch):
+    calls = []
+    merge = scheduler._merge
+    monkeypatch.setattr(scheduler, "_merge", lambda intervals: calls.append(1) or merge(intervals))
+    state = scheduler._State(helpers.chain(hops=(1,)))
+    for pieces in ([(4, 6)], [(0, 2), (6, 8)], [(2, 4), (1, 9)], [(3, 3), (12, 10)], []):
+        state.occupy(1, 0, pieces)
+    assert state.busy[(1, 0)] == [(0, 9)]
+    assert calls == []
+    # placement still merges what it has to, so the patch is on the live path
+    build_schedule(helpers.star(2, pairs=[(1, 2)]), {1: 0.3, 2: 0.3})
+    assert calls
 
 
 # -- frozen schedules and validation reports ---------------------------------

@@ -1,10 +1,16 @@
 """Violation detection on tampered schedules, plus the fairness index."""
 
 import copy
+import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
+import oracles
+from backhaulopt import validator
 from backhaulopt.errors import AllZeroDemands
 from backhaulopt.formulations import parse_setting, solve_equal_demand
 from backhaulopt.scheduler import Schedule, build_schedule
@@ -62,6 +68,23 @@ def test_chain_overlap_detected():
     report = validate_schedule(topo, bad)
     assert "ChainOverlap" in _kinds(report)
     assert other not in bad.links[2].parent_side
+
+
+def _details(report):
+    return [v.detail for v in report.violations]
+
+
+def test_pieces_counted_twice_are_detected():
+    # a repeated piece merges away, so the given total exceeds the merged one
+    topo = helpers.star(2, hop=1)
+    sol, sched = _solved(topo)
+    bad = copy.deepcopy(sched)
+    bad.links[1].footprint = bad.links[1].footprint * 2
+    chain, s, e = bad.links[2].parent_side[0]
+    bad.links[2].parent_side.append((1 - chain, s, e))
+    details = _details(validate_schedule(topo, bad))
+    assert "link 1 footprint intervals overlap" in details
+    assert "link 2 first link transmits on two chains at once" in details
 
 
 def test_bad_chain_index_detected():
@@ -179,6 +202,73 @@ def test_nan_intervals_are_flagged():
     report = validate_schedule(topo, bad, p_first=sol.p_first, demands=sol.per_bs)
     assert not report.ok
     assert {"FootprintMismatch", "ActiveOutsideFootprint"} <= _kinds(report)
+
+
+# two mutated endpoints: lengths whose float sum overflows, and lengths of
+# +inf and -inf; math.fsum raises on both
+HUGE = [[(0.0, 1e308), (0.0, 1e308)], [(-1e308, 1e308), (1e308, -1e308)]]
+
+
+@pytest.mark.parametrize("side", ["footprint", "parent_side", "child_side"])
+@pytest.mark.parametrize("pieces", HUGE)
+def test_huge_finite_intervals_are_flagged(side, pieces):
+    topo = helpers.chain(hops=(2, 1))
+    sol, sched = _solved(topo)
+    bad = copy.deepcopy(sched)
+    entry = bad.links[1]
+    if side == "footprint":
+        entry.footprint = list(pieces)
+    else:
+        setattr(entry, side, [(0, s, e) for s, e in pieces])
+    report = validate_schedule(topo, bad, p_first=sol.p_first, demands=sol.per_bs)
+    kind = "FootprintMismatch" if side == "footprint" else "ActiveOutsideFootprint"
+    assert kind in _kinds(report)
+
+
+def _same(a, b):
+    # repr tells NaN from NaN-free values and -0.0 from 0.0
+    return repr(a) == repr(b)
+
+
+SPECIAL = [0.0, -0.0, 0.25, 1.0, math.nan, math.inf, -math.inf, 1e308, -1e308]
+
+
+def test_one_piece_paths_match_the_references():
+    # NaN, signed zeros, infinities and reversed pieces, one piece at a time
+    pieces = list(itertools.product(SPECIAL, repeat=2))
+    for piece in pieces:
+        assert _same(validator._merge([piece]), oracles.merged([piece])), piece
+        assert _same(validator._total([piece]), oracles.interval_total([piece])), piece
+    for a, b in itertools.product(pieces, repeat=2):
+        got = validator._overlap([a], [b])
+        assert _same(got, oracles.interval_overlap([a], [b])), (a, b)
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(intervals=st.lists(st.tuples(FLOATS, FLOATS), max_size=4))
+def test_total_never_raises_and_ignores_order(intervals):
+    # where math.fsum takes the sum, the total is fsum's; where it raises
+    # (inf + -inf, or a running sum past the float range), the total is
+    # still one number, whatever the order of the pieces
+    got = validator._total(intervals)
+    for order in itertools.permutations(intervals):
+        assert _same(validator._total(list(order)), got)
+        try:
+            want = oracles.interval_total(order)
+        except (OverflowError, ValueError):
+            continue
+        assert _same(got, want)
+
+
+def test_total_past_fsum_rounds_the_exact_sum():
+    # fsum overflows on the running sum 1e308 + 1e308 before it sees -1e308
+    assert validator._total([(0.0, 1e308), (0.0, 1e308), (1e308, 0.0)]) == 1e308
+    assert validator._total([(0.0, 1e308), (0.0, 1e308)]) == math.inf
+    assert validator._total([(1e308, 0.0), (1e308, 0.0)]) == -math.inf
+    assert math.isnan(validator._total([(-1e308, 1e308), (1e308, -1e308)]))
 
 
 def test_nan_solution_is_flagged():

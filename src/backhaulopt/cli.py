@@ -157,11 +157,12 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _add_size_flags(sub) -> None:
+def _add_size_flags(sub, pairs: int) -> None:
     sub.add_argument("--small-bs", type=int, default=20, help="number of small BSs")
     sub.add_argument("--macro-degree", type=int, default=8, help="children of the macro BS")
     sub.add_argument("--max-children", type=int, default=2, help="children per small BS")
-    sub.add_argument("--pairs", type=int, default=0, help="interference pairs to draw")
+    sub.add_argument("--pairs", type=int, default=pairs,
+                     help="interference pairs to draw (default %(default)s)")
     sub.add_argument(
         "--phy-rate", type=float, default=DEFAULT_PHY_RATE_GBPS,
         help="physical link rate in Gbps",
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = subs.add_parser("generate", help="draw a random tree topology")
     gen.add_argument("--seed", type=int, default=0,
                      help=f"rng seed ({SEED_ENV} overrides when set)")
-    _add_size_flags(gen)
+    _add_size_flags(gen, pairs=0)
     gen.add_argument("--out", default="-", help="topology JSON path, - for stdout")
     gen.set_defaults(func=cmd_generate)
 
@@ -206,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seed", type=int, default=1,
                      help=f"base seed ({SEED_ENV} overrides when set)")
     exp.add_argument("--trials", type=int, default=50)
-    _add_size_flags(exp)
+    # the paper's batch draws interference pairs; with none, LI equals MI
+    _add_size_flags(exp, pairs=ExperimentConfig().interference_pair_budget)
     exp.add_argument("--out-dir", default="results", help="directory for the CSV files")
     exp.set_defaults(func=cmd_experiment)
 

@@ -235,13 +235,13 @@ def validate_schedule(
         if abs(footprint_total - pf / link.p_first_max) > TOL_INTERVAL:
             add(
                 "FootprintMismatch",
-                f"link {link.id} footprint {footprint_total:.12f} != "
-                f"active/duty {pf / link.p_first_max:.12f}",
+                f"link {link.id} footprint {footprint_total:.12g} != "
+                f"active/duty {pf / link.p_first_max:.12g}",
             )
         if abs(pf / link.p_first_max - pl / link.p_last_max) > 2 * TOL_INTERVAL:
             add(
                 "RatioMismatch",
-                f"link {link.id} first/last active times {pf:.12f}/{pl:.12f} "
+                f"link {link.id} first/last active times {pf:.12g}/{pl:.12g} "
                 "violate the shared duty fraction",
             )
         if p_first is not None:
@@ -250,7 +250,7 @@ def validate_schedule(
             if not abs(pf - expected) <= TOL_INTERVAL:
                 add(
                     "RatioMismatch",
-                    f"link {link.id} first-link active {pf:.12f} != solution {expected:.12f}",
+                    f"link {link.id} first-link active {pf:.12g} != solution {expected:.12g}",
                 )
         if p_last is not None:
             first = pf if p_first is None else float(p_first.get(link.id, 0.0))
@@ -259,8 +259,8 @@ def validate_schedule(
             if not abs(got - expected) <= TOL_INTERVAL:
                 add(
                     "RatioMismatch",
-                    f"link {link.id} solution last-link fraction {got:.12f} != "
-                    f"first-link fraction x P_l/P_f {expected:.12f}",
+                    f"link {link.id} solution last-link fraction {got:.12g} != "
+                    f"first-link fraction x P_l/P_f {expected:.12g}",
                 )
 
         rate = min(pf / link.p_first_max, pl / link.p_last_max) * link.capacity_gbps

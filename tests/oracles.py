@@ -1,11 +1,12 @@
 """Independent references the test suite checks the package against.
 
 Everything here is closed-form arithmetic, brute-force enumeration over
-basic solutions, a full-rescan replay of the topology generator, the
-demand LP built one Python-list row at a time, or interval lists merged
-again from scratch and summed with math.fsum; nothing calls the package's
-simplex solver, LP builders, generator, scheduler or validator. Agreement between these
-references and the package is therefore a two-route check, not a tautology.
+basic solutions, a plain Bland-rule pivot loop, a full-rescan replay of the
+topology generator, the demand LP built one Python-list row at a time, or
+interval lists merged again from scratch and summed with math.fsum; nothing
+calls the package's simplex solver, LP builders, generator, scheduler or
+validator. Agreement between these references and the package is therefore
+a two-route check, not a tautology.
 """
 
 from __future__ import annotations
@@ -214,6 +215,51 @@ def reference_residual(lp, x):
     if finite.any():
         worst = max(worst, float(np.max((x - lp.upper)[finite], initial=0.0)))
     return worst
+
+
+class ReferencePivots:
+    """Bland-rule simplex pivots written out plainly, usable as solve's kernel.
+
+    run_pivots has the package kernel's signature and return codes (0
+    optimal, 1 unbounded, 2 iteration limit). Each pivot lists every
+    improving column and enters the first; it computes the ratio of every
+    row with an entry above tol as one array, and of the rows at the least
+    ratio the one with the smallest basic index leaves. The update divides
+    the pivot row by its pivot, then walks every other row and subtracts
+    (its entry) x (pivot row) from each whose entry is not exactly 0.
+
+    tied counts the pivots that had more than one row at the least ratio.
+    """
+
+    def __init__(self):
+        self.tied = 0
+
+    def run_pivots(self, tableau, basis, ncols_enter, tol, max_iter):
+        T = tableau
+        m = T.shape[0] - 1
+        for done in range(max_iter):
+            reduced = T[m, :ncols_enter].tolist()
+            entering = [j for j, cost in enumerate(reduced) if cost < -tol]
+            if not entering:
+                return 0, done
+            col = entering[0]
+            column = T[:, col].tolist()
+            candidates = np.array([i for i in range(m) if column[i] > tol], dtype=np.int64)
+            if candidates.size == 0:
+                return 1, done
+            ratios = T[candidates, -1] / T[candidates, col]
+            least = candidates[ratios == ratios.min()].tolist()
+            if len(least) > 1:
+                self.tied += 1
+            row = min(least, key=lambda i: basis[i])
+
+            T[row] = T[row] / T[row, col]
+            for i in range(m + 1):
+                factor = T[i, col]
+                if i != row and factor != 0.0:
+                    T[i] = T[i] - factor * T[row]
+            basis[row] = col
+        return 2, max_iter
 
 
 def enumerate_max(c, A, b, feas_tol=1e-7, det_tol=1e-9):

@@ -67,6 +67,21 @@ def test_experiment_tables_frozen(tmp_path):
     )
 
 
+def test_cli_experiment_draws_the_papers_pairs_by_default(tmp_path):
+    # generate draws no pairs unless asked; experiment draws the batch's 6,
+    # so its LI columns are not copies of the MI columns
+    assert cli.build_parser().parse_args(["generate"]).pairs == 0
+    default, explicit = tmp_path / "default", tmp_path / "explicit"
+    assert main(["experiment", "--trials", "3", "--out-dir", str(default)]) == 0
+    assert main(["experiment", "--trials", "3", "--out-dir", str(explicit),
+                 "--pairs", str(ExperimentConfig().interference_pair_budget)]) == 0
+    name = "max_demand_by_setting.csv"
+    assert (default / name).read_bytes() == (explicit / name).read_bytes()
+    with open(default / name) as fh:
+        rows = list(csv.DictReader(fh))
+    assert any(row["LI-ER"] != row["MI-ER"] for row in rows)
+
+
 def test_cli_pipeline_round_trip(tmp_path, capsys):
     topo = tmp_path / "topo.json"
     sol = tmp_path / "sol.json"

@@ -99,25 +99,33 @@ def test_unbounded_detected():
     assert solve(lp).status is LpStatus.UNBOUNDED
 
 
-def test_degenerate_duplicate_rows():
+def _duplicate_rows():
     lp = LinearProgram(2)
     lp.set_objective([1.0, 1.0])
     for _ in range(3):
         lp.add_constraint([1.0, 1.0], Relation.LE, 2.0)
     lp.add_constraint([1.0, 0.0], Relation.LE, 2.0)
-    sol = solve(lp)
+    return lp
+
+
+def test_degenerate_duplicate_rows():
+    sol = solve(_duplicate_rows())
     assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
 
 
-def test_beale_cycling_example_terminates():
-    # the classic cycling instance for naive pivoting; Bland's rule must
-    # finish at value 1/20 (x1 = 1/25, x3 = 1)
+def _beale():
+    # the classic cycling instance for naive pivoting
     lp = LinearProgram(4)
     lp.set_objective([0.75, -150.0, 0.02, -6.0])
     lp.add_constraint([0.25, -60.0, -0.04, 9.0], Relation.LE, 0.0)
     lp.add_constraint([0.5, -90.0, -0.02, 3.0], Relation.LE, 0.0)
     lp.add_constraint([0.0, 0.0, 1.0, 0.0], Relation.LE, 1.0)
-    sol = solve(lp)
+    return lp
+
+
+def test_beale_cycling_example_terminates():
+    # Bland's rule must finish at value 1/20 (x1 = 1/25, x3 = 1)
+    sol = solve(_beale())
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(0.05, abs=1e-9)
     assert sol.iterations < 100
@@ -372,6 +380,39 @@ def test_row_by_row_and_one_block_solve_identically():
         rows, block = _rebuilt(lp, one_block=False), _rebuilt(lp, one_block=True)
         assert np.array_equal(rows.matrix, block.matrix)
         assert _solve_image(rows) == _solve_image(block) == _solve_image(lp)
+
+
+class _SideBySide:
+    """Runs the reference pivot loop on copies, then the package kernel."""
+
+    def __init__(self):
+        self.reference = oracles.ReferencePivots()
+        self.codes = []
+
+    def run_pivots(self, tableau, basis, ncols_enter, tol, max_iter):
+        want_tableau, want_basis = tableau.copy(), basis.copy()
+        want = self.reference.run_pivots(want_tableau, want_basis, ncols_enter, tol, max_iter)
+        got = _kernel_py.run_pivots(tableau, basis, ncols_enter, tol, max_iter)
+        assert got == want
+        assert tableau.tobytes() == want_tableau.tobytes()
+        assert basis.tobytes() == want_basis.tobytes()
+        self.codes.append(got[0])
+        return got
+
+
+def test_pivot_path_matches_the_reference_loop():
+    # every phase of every program: the same tableau bits, basis and pivot
+    # count as a plain Bland loop that scans each column in full
+    rng = np.random.default_rng(42)
+    lps = [_random_lp(rng) for _ in range(150)] + [_beale(), _duplicate_rows()]
+    lps += [*_formulation_lps(3).values(), *_formulation_lps(1, n=200).values()]
+    side = _SideBySide()
+    for lp in lps:
+        solve(lp, kernel=side)
+    assert {_kernel_py.OPTIMAL, _kernel_py.UNBOUNDED} <= set(side.codes)
+    assert len(side.codes) > len(lps)  # phase 1 ran too
+    # ties in the ratio test were broken by the smallest basic index
+    assert side.reference.tied > 0
 
 
 class _StuckKernel:

@@ -296,5 +296,5 @@ def test_schedules_and_reports_frozen():
             tampered = schedule_from_dict(data)
             digest.update(_report_text(topo, tampered, sol).encode())
     assert digest.hexdigest() == (
-        "b385069c71840ef3d1d0809fcc7a6319194a5985c54ac51b56f6cdf1805caa61"
+        "4ae7829003fa5a80a206f3c175208eb5d35e8502c1705ca0c725df24fefec560"
     )

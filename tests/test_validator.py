@@ -225,6 +225,23 @@ def test_huge_finite_intervals_are_flagged(side, pieces):
     assert kind in _kinds(report)
 
 
+@pytest.mark.parametrize("side", ["footprint", "parent_side", "child_side"])
+def test_huge_interval_totals_print_in_bounded_width(side):
+    # a fixed-point total of 1e308 would print as a 309-digit decimal
+    topo = helpers.chain(hops=(2, 1))
+    sol, sched = _solved(topo)
+    bad = copy.deepcopy(sched)
+    entry = bad.links[1]
+    if side == "footprint":
+        entry.footprint = list(HUGE[0])
+    else:
+        setattr(entry, side, [(0, s, e) for s, e in HUGE[0]])
+    report = validate_schedule(topo, bad, p_first=sol.p_first, demands=sol.per_bs)
+    lines = [str(v) for v in report.violations]
+    assert any("FootprintMismatch" in line or "RatioMismatch" in line for line in lines)
+    assert all(len(line) < 200 for line in lines), max(lines, key=len)
+
+
 def _same(a, b):
     # repr tells NaN from NaN-free values and -0.0 from 0.0
     return repr(a) == repr(b)

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 
 from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
-from backhaulopt.errors import PlacementFailure
+from backhaulopt.errors import NonPositiveInput, PlacementFailure
 from backhaulopt.formulations import (
     Interference,
     Objective,
@@ -110,6 +110,8 @@ def _realizes(topo, sol) -> bool:
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
+    if config.trials < 1:
+        raise NonPositiveInput(f"an experiment needs at least one trial, got {config.trials}")
     return [run_trial(config, t) for t in range(config.trials)]
 
 

@@ -377,8 +377,12 @@ def solve_aggregate(
     fair=True first solves the equal-demand program and uses its optimum as
     a demand floor for every small BS (two-step fair aggregate). An explicit
     fair_floor overrides step one; an unreachable floor raises
-    InfeasibleFloor.
+    InfeasibleFloor, and a floor without fair=True raises InconsistentInput.
     """
+    if fair_floor is not None and not fair:
+        raise InconsistentInput(
+            f"a fair floor applies only to the {Objective.AGGREGATE_FAIR.value} objective"
+        )
     floors = None
     floor_val = None
     if fair:
@@ -411,11 +415,11 @@ def solve_objective(
     objective: Objective,
     fair_floor: float | None = None,
 ) -> DemandSolution:
-    if objective is Objective.EQUAL_DEMAND:
+    if objective is Objective.EQUAL_DEMAND and fair_floor is None:
         return solve_equal_demand(topology, setting)
-    if objective is Objective.AGGREGATE:
-        return solve_aggregate(topology, setting)
-    return solve_aggregate(topology, setting, fair=True, fair_floor=fair_floor)
+    # solve_aggregate refuses a floor that comes without the fair objective
+    fair = objective is Objective.AGGREGATE_FAIR
+    return solve_aggregate(topology, setting, fair=fair, fair_floor=fair_floor)
 
 
 def min_radio_chains(topology: NetworkTopology, p_first: dict[int, float]) -> dict[int, int]:

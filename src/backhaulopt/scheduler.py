@@ -87,24 +87,10 @@ def _merge(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return out
 
 
-def _complement(blocked: list[tuple[int, int]], lo: int = 0, hi: int = GRID):
-    """Gaps of a merged interval list within [lo, hi)."""
-    gaps = []
-    cur = lo
-    for s, e in blocked:
-        if s > cur:
-            gaps.append((cur, min(s, hi)))
-        cur = max(cur, e)
-        if cur >= hi:
-            break
-    if cur < hi:
-        gaps.append((cur, hi))
-    return [(s, e) for s, e in gaps if e > s]
-
-
 def _take_free(blocked: list[tuple[int, int]], amount: int):
     """Leftmost free time in [0, GRID) outside a merged list, totaling
-    min(amount, free): the pieces _take_leading takes from _complement."""
+    min(amount, free), and the amount left over; amount = GRID takes every
+    gap of the list."""
     taken = []
     cur = 0
     for s, e in blocked:
@@ -135,33 +121,6 @@ def _insert(busy: list[tuple[int, int]], s: int, e: int) -> None:
     busy[lo:hi] = [(s, e)]
 
 
-def _intersect(a: list[tuple[int, int]], b: list[tuple[int, int]]):
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        s = max(a[i][0], b[j][0])
-        e = min(a[i][1], b[j][1])
-        if s < e:
-            out.append((s, e))
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def _take_leading(gaps: list[tuple[int, int]], amount: int):
-    """Leftmost sub-intervals totaling min(amount, available)."""
-    taken = []
-    for s, e in gaps:
-        if amount <= 0:
-            break
-        piece = min(amount, e - s)
-        taken.append((s, s + piece))
-        amount -= piece
-    return taken, amount
-
-
 def _take_trailing(intervals: list[tuple[int, int]], amount: int):
     taken = []
     for s, e in reversed(intervals):
@@ -181,7 +140,6 @@ class _LinkPlan:
     active_need: int  # p_f in grid units
     footprint_need: int  # p_f / P_f
     child_need: int  # p_f * P_l / P_f
-    single_hop: bool
     parent_pieces: list[tuple[int, int, int]] = field(default_factory=list)
     child_pieces: list[tuple[int, int, int]] = field(default_factory=list)
     active: list[tuple[int, int]] = field(default_factory=list)  # time-domain union
@@ -235,11 +193,15 @@ def _plan_for(link, p_first: dict[int, float]) -> _LinkPlan:
     p = min(max(p, 0.0), link.p_first_max)
     a = round(p * GRID)
     if link.hop_count == 1:
-        return _LinkPlan(active_need=a, footprint_need=a, child_need=a, single_hop=True)
+        return _LinkPlan(active_need=a, footprint_need=a, child_need=a)
     s = min(round(p / link.p_first_max * GRID), GRID)
     s = max(s, a)
-    c = min(round(p * link.p_last_max / link.p_first_max * GRID), s - a)
-    return _LinkPlan(active_need=a, footprint_need=s, child_need=c, single_hop=False)
+    c = round(p * link.p_last_max / link.p_first_max * GRID)
+    if c - (s - a) > TRIM_CAP:  # P_f + P_l > 1: the last hop outlasts the pause
+        raise PlacementFailure(
+            link.id, f"{(c - s + a) / GRID:.3e} of child-side time does not fit the pause"
+        )
+    return _LinkPlan(active_need=a, footprint_need=s, child_need=min(c, s - a))
 
 
 def _place_actives(state: _State, link, plan: _LinkPlan, forbidden: list[tuple[int, int]]):
@@ -285,8 +247,9 @@ def _place_pause(
     both = forbidden and plan.active
     blocked = _merge(forbidden + plan.active) if both else forbidden or plan.active
     if reuse_first:
-        covered = state.all_busy(link.parent)
-        first, needed = _take_leading(_intersect(_complement(blocked), covered), needed)
+        # with the gaps of the covered time blocked too, only covered time is free
+        gaps, _ = _take_free(state.all_busy(link.parent), GRID)
+        first, needed = _take_free(_merge(blocked + gaps), needed)
         more, needed = _take_free(_merge(blocked + first), needed)
         taken = _merge(first + more)
     else:
@@ -302,7 +265,7 @@ def _place_pause(
 
 def _finish_link(state: _State, link, plan: _LinkPlan) -> None:
     """Fix the child-side actives and record chain occupancy at both ends."""
-    if plan.single_hop:
+    if link.hop_count == 1:
         # one physical link: both endpoint radios are live during the actives
         plan.child_pieces = [(0, s, e) for _, s, e in sorted(plan.parent_pieces, key=lambda t: t[1])]
     else:
@@ -346,7 +309,7 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
         inbound = topology.inbound_link(bs)
         if inbound is not None:
             # the inbound link's schedule was fixed by the parent BS; its
-            # child-side actives are already on our chain 1 (occupied when the
+            # child-side actives are already on our chain 0 (occupied when the
             # link was placed). Its interference partner among our child
             # links must dodge the whole inbound footprint.
             partner = [p for p in topology.partners(inbound.id) if p in remaining]
@@ -354,7 +317,7 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
                 pid = partner[0]
                 link = by_id[pid]
                 plan = plans[pid]
-                _place_link(state, link, plan, forbidden=list(state.plans[inbound.id].footprint))
+                _place_link(state, link, plan, forbidden=state.plans[inbound.id].footprint)
                 if any(chain > 0 for chain, _, _ in plan.parent_pieces):
                     state.line12_overflow.append(pid)
                 remaining.discard(pid)
@@ -373,15 +336,9 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
             b = partners[0]
             plan_a, plan_b = plans[a], plans[b]
             _place_actives(state, by_id[a], plan_a, forbidden=[])
-            _place_actives(state, by_id[b], plan_b, forbidden=list(plan_a.active))
-            _place_pause(state, by_id[a], plan_a, forbidden=list(plan_b.active), reuse_first=True)
-            _place_pause(
-                state,
-                by_id[b],
-                plan_b,
-                forbidden=_merge(plan_b.active + plan_a.footprint),
-                reuse_first=True,
-            )
+            _place_actives(state, by_id[b], plan_b, forbidden=plan_a.active)
+            _place_pause(state, by_id[a], plan_a, forbidden=plan_b.active, reuse_first=True)
+            _place_pause(state, by_id[b], plan_b, forbidden=plan_a.footprint, reuse_first=True)
             _finish_link(state, by_id[a], plan_a)
             _finish_link(state, by_id[b], plan_b)
             remaining -= {a, b}

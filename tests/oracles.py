@@ -414,6 +414,27 @@ def occupancy_after(busy, pieces):
     return merged(list(busy) + list(pieces))
 
 
+def leftmost_free(blocked, amount, hi, within=None):
+    """The leftmost time in [0, hi) outside blocked, and inside within when
+    it is given, totaling min(amount, what there is), as a merged list; and
+    what is left of amount. Unit by unit up to the last endpoint of either
+    list, then the rest of [0, hi) as one piece."""
+    edge = min(max((e for _, e in blocked + (within or [])), default=0), hi)
+
+    def free(t):
+        inside = within is None or any(s <= t < e for s, e in within)
+        return inside and not any(s <= t < e for s, e in blocked)
+
+    units = [t for t in range(edge) if free(t)][:amount]
+    taken = [(t, t + 1) for t in units]
+    amount -= len(units)
+    if within is None and amount > 0 and edge < hi:
+        tail = min(amount, hi - edge)
+        taken.append((edge, edge + tail))
+        amount -= tail
+    return merged(taken), amount
+
+
 def interval_total(intervals):
     """math.fsum of the lengths; raises where fsum does."""
     return math.fsum(e - s for s, e in intervals)

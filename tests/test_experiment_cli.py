@@ -8,8 +8,10 @@ import os
 
 import pytest
 
+import helpers
 from backhaulopt import cli
 from backhaulopt.cli import main
+from backhaulopt.errors import BackhaulError
 from backhaulopt.experiment import (
     OBJECTIVE_NAMES,
     SETTING_NAMES,
@@ -20,7 +22,7 @@ from backhaulopt.experiment import (
 )
 from backhaulopt.generator import GeneratorConfig, generate_topology
 from backhaulopt.lp import _kernel_py
-from backhaulopt.model import save_topology
+from backhaulopt.model import make_link, save_topology
 
 
 def test_trial_covers_every_setting_and_objective():
@@ -315,6 +317,48 @@ def test_cli_infeasible_exit_codes(tmp_path, capsys):
         "solve", str(topo), "--setting", "LI-ER",
         "--objective", "aggregate_fair", "--fair-floor", "1000",
     ]) == 2
+
+
+def test_cli_fair_floor_needs_the_fair_objective(tmp_path, capsys):
+    topo = tmp_path / "topo.json"
+    main(["generate", "--seed", "4", "--pairs", "3", "--out", str(topo)])
+    for objective in ("aggregate", "equal_demand"):
+        capsys.readouterr()
+        assert main([
+            "solve", str(topo), "--setting", "LI-LR(2)",
+            "--objective", objective, "--fair-floor", "1000",
+        ]) == 3, objective
+        captured = capsys.readouterr()
+        assert captured.out == "" and "aggregate_fair" in captured.err
+
+
+def test_cli_schedule_refuses_a_relayed_link_it_would_trim(tmp_path, capsys):
+    # P_f + P_l > 1: the last hop's time cannot fit the pause of the footprint
+    link = make_link(1, 0, 1, 2, capacity_gbps=5.0, p_first_max=0.8, p_last_max=0.6)
+    topo, sol = tmp_path / "t.json", tmp_path / "s.json"
+    save_topology(helpers.topology([link]), str(topo))
+
+    def schedule(p):
+        sol.write_text(json.dumps({
+            "objective": "equal_demand", "per_bs": {"1": 0.0},
+            "p_first": {"1": p}, "p_last": {"1": 0.75 * p},
+        }))
+        return main(["schedule", str(topo), str(sol)])
+
+    assert schedule(0.8) == 2
+    assert "no feasible placement for link 1" in capsys.readouterr().err
+    assert schedule(0.0) == 0
+
+
+def test_experiment_needs_at_least_one_trial(tmp_path, capsys):
+    for trials in (0, -3):
+        with pytest.raises(BackhaulError):
+            run_experiment(ExperimentConfig(trials=trials))
+        with pytest.raises(SystemExit) as err:
+            main(["experiment", "--trials", str(trials), "--out-dir", str(tmp_path / "out")])
+        assert err.value.code == 3
+        assert "--trials" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_usage_and_io_exit_codes(tmp_path, capsys):

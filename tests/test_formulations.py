@@ -249,6 +249,18 @@ def test_explicit_fair_floor_must_be_a_nonnegative_number():
     assert solve_aggregate(topo, MI_ER, fair=True, fair_floor=0.0).fair_floor_gbps == 0.0
 
 
+def test_fair_floor_needs_the_fair_objective():
+    # a floor that the objective would drop is refused, never silently ignored
+    topo = helpers.star(2, hop=1)
+    with pytest.raises(InconsistentInput, match="aggregate_fair"):
+        solve_aggregate(topo, MI_ER, fair_floor=1.0)
+    for objective in (Objective.EQUAL_DEMAND, Objective.AGGREGATE):
+        with pytest.raises(InconsistentInput, match="aggregate_fair"):
+            solve_objective(topo, MI_ER, objective, fair_floor=1.0)
+    fair = solve_objective(topo, MI_ER, Objective.AGGREGATE_FAIR, fair_floor=1.0)
+    assert fair.fair_floor_gbps == 1.0
+
+
 # -- frozen LPs and decodes --------------------------------------------------
 
 _FREEZE_TREES = [  # (seed, small BSs, macro degree, interference pair budget)

@@ -32,6 +32,7 @@ from backhaulopt.generator import (
     generate_topology,
     strip_interference,
 )
+from backhaulopt.model import make_link
 from backhaulopt.scheduler import (
     achieved_rates,
     build_schedule,
@@ -114,6 +115,18 @@ def test_overfull_chain_is_a_placement_failure():
     topo = helpers.star(2, hop=1, chains={0: 1})
     with pytest.raises(PlacementFailure):
         build_schedule(topo, {1: 0.75, 2: 0.75})
+
+
+def test_relayed_link_whose_hops_outlast_the_footprint_fails():
+    # P_f + P_l > 1: at p = P_f the footprint is the whole frame, and the last
+    # hop needs 0.6 of it after the 0.8 of actives; trimming it to 0.2 would
+    # leave a schedule that realizes a third of the link's capacity
+    link = make_link(1, 0, 1, 2, capacity_gbps=5.0, p_first_max=0.8, p_last_max=0.6)
+    topo = helpers.topology([link])
+    for p in (0.8, 0.4, 1e-6):
+        with pytest.raises(PlacementFailure, match="child-side time"):
+            build_schedule(topo, {1: p})
+    assert build_schedule(topo, {1: 0.0}).links[1].child_side == []
 
 
 def test_input_validation():
@@ -217,6 +230,29 @@ def test_occupy_keeps_busy_lists_merged(placements):
         assert state.busy == chains
         in_use = [p for c in state.chains_in_use(1) for p in chains.get((1, c), [])]
         assert state.all_busy(1) == oracles.merged(in_use)
+
+
+MERGED = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=5).map(
+    oracles.merged
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    blocked=MERGED,
+    covered=MERGED,
+    amount=st.one_of(st.integers(0, 16), st.just(scheduler.GRID)),
+)
+def test_take_free_takes_the_leftmost_free_time(blocked, covered, amount):
+    # amount = GRID takes every gap, the complement of the list
+    grid = scheduler.GRID
+    assert scheduler._take_free(blocked, amount) == oracles.leftmost_free(blocked, amount, grid)
+    # reuse-first: with the gaps of covered blocked as well, what is left free
+    # is covered time outside blocked, taken from the left
+    gaps, _ = scheduler._take_free(covered, grid)
+    assert scheduler._take_free(scheduler._merge(blocked + gaps), amount) == (
+        oracles.leftmost_free(blocked, amount, grid, within=covered)
+    )
 
 
 def test_occupy_never_merges_from_scratch(monkeypatch):

@@ -14,15 +14,7 @@ import sys
 import traceback
 
 from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
-from backhaulopt.errors import (
-    BackhaulError,
-    InconsistentInput,
-    InfeasibleConfig,
-    InfeasibleFloor,
-    InterferenceNotMinimal,
-    InvalidTopology,
-    PlacementFailure,
-)
+from backhaulopt.errors import BackhaulError, InconsistentInput, Infeasible
 from backhaulopt.experiment import ExperimentConfig, run_experiment, write_results
 from backhaulopt.formulations import (
     Objective,
@@ -37,14 +29,6 @@ from backhaulopt.scheduler import build_schedule, schedule_from_dict, schedule_t
 from backhaulopt.validator import validate_schedule
 
 SEED_ENV = "BACKHAUL_OPT_SEED"
-
-_INFEASIBLE = (
-    InvalidTopology,
-    InterferenceNotMinimal,
-    InfeasibleFloor,
-    InfeasibleConfig,
-    PlacementFailure,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -227,13 +211,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INFEASIBLE as exc:
+    except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except BackhaulError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (BackhaulError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception:

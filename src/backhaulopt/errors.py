@@ -5,8 +5,15 @@ class BackhaulError(Exception):
     """Base class for all package errors."""
 
 
+class Infeasible(BackhaulError):
+    """The problem is well formed but infeasible or unrealizable as posed.
+
+    The command line exits 2 for these and 3 for every other package error.
+    """
+
+
 class NonPositiveInput(BackhaulError):
-    """A quantity that must be strictly positive was zero or negative."""
+    """A quantity that must be positive was not, or a count fell below its minimum."""
 
 
 class NonFiniteInput(BackhaulError):
@@ -21,7 +28,7 @@ class DimensionMismatch(BackhaulError):
     """Vector length does not match the number of LP variables."""
 
 
-class InvalidTopology(BackhaulError):
+class InvalidTopology(Infeasible):
     """Topology failed structural validation.
 
     Carries the violation list so callers can render a full report.
@@ -33,7 +40,7 @@ class InvalidTopology(BackhaulError):
         super().__init__(f"invalid topology: {lines}")
 
 
-class InterferenceNotMinimal(BackhaulError):
+class InterferenceNotMinimal(Infeasible):
     """A minimal-interference formulation was asked for a topology with interference pairs."""
 
 
@@ -41,7 +48,7 @@ class SolverFailure(BackhaulError):
     """The simplex solver could not produce a trustworthy answer for a well-formed LP."""
 
 
-class InfeasibleFloor(BackhaulError):
+class InfeasibleFloor(Infeasible):
     """The fair-aggregate LP is infeasible for the requested per-BS floor."""
 
 
@@ -49,7 +56,7 @@ class MissingLink(BackhaulError):
     """A per-link map is missing an entry for a link present in the topology."""
 
 
-class PlacementFailure(BackhaulError):
+class PlacementFailure(Infeasible):
     """The scheduler could not realize the requested active time on the available radio chains."""
 
     def __init__(self, link_id, detail=""):
@@ -72,5 +79,5 @@ class AllZeroDemands(BackhaulError):
     """Jain's index is undefined when every demand is zero."""
 
 
-class InfeasibleConfig(BackhaulError):
+class InfeasibleConfig(Infeasible):
     """Generator configuration cannot produce a topology satisfying its own constraints."""

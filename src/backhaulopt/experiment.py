@@ -105,8 +105,9 @@ def _realizes(topo, sol) -> bool:
         schedule = build_schedule(topo, sol.p_first)
     except PlacementFailure:
         return False
-    report = validate_schedule(topo, schedule, p_first=sol.p_first, demands=sol.per_bs)
-    return report.ok and report.realized_equal_demand >= sol.d_b_gbps - 1e-6
+    return validate_schedule(
+        topo, schedule, p_first=sol.p_first, demands=sol.per_bs, d_b_gbps=sol.d_b_gbps
+    ).ok
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
@@ -119,8 +120,20 @@ def _fmt(x: float) -> str:
     return f"{x:.9f}"
 
 
+# (per-trial table or None, summary label, TrialResult field, keys): the table
+# holds one %.9f column per key, and summary.csv one mean per key, in this order
+_LAYOUT = (
+    ("max_demand_by_setting.csv", "mean_d_b", "d_b", SETTING_NAMES),
+    (None, "realized_rate", "realized", SETTING_NAMES),
+    ("aggregate_by_objective.csv", "mean_aggregate", "aggregate", OBJECTIVE_NAMES),
+    ("jain_by_objective.csv", "mean_jain", "jain", OBJECTIVE_NAMES),
+)
+
+
 def write_results(results: list[TrialResult], out_dir: str) -> list[str]:
     """Emit the four per-trial tables plus a summary; returns the paths."""
+    if not results:
+        raise NonPositiveInput("no trial results to write")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
 
@@ -132,30 +145,16 @@ def write_results(results: list[TrialResult], out_dir: str) -> list[str]:
             writer.writerows(rows)
         paths.append(path)
 
-    table(
-        "max_demand_by_setting.csv",
-        ["trial", "seed", *SETTING_NAMES],
-        [
-            [r.trial, r.seed, *(_fmt(r.d_b[s]) for s in SETTING_NAMES)]
-            for r in results
-        ],
-    )
-    table(
-        "aggregate_by_objective.csv",
-        ["trial", "seed", *OBJECTIVE_NAMES],
-        [
-            [r.trial, r.seed, *(_fmt(r.aggregate[o]) for o in OBJECTIVE_NAMES)]
-            for r in results
-        ],
-    )
-    table(
-        "jain_by_objective.csv",
-        ["trial", "seed", *OBJECTIVE_NAMES],
-        [
-            [r.trial, r.seed, *(_fmt(r.jain[o]) for o in OBJECTIVE_NAMES)]
-            for r in results
-        ],
-    )
+    summary_rows = []
+    for name, label, attr, keys in _LAYOUT:
+        per_trial = [getattr(r, attr) for r in results]
+        if name is not None:
+            rows = [[r.trial, r.seed, *(_fmt(c[k]) for k in keys)]
+                    for r, c in zip(results, per_trial)]
+            table(name, ["trial", "seed", *keys], rows)
+        summary_rows += [
+            [f"{label}[{k}]", _fmt(sum(c[k] for c in per_trial) / len(results))] for k in keys
+        ]
     table(
         "min_radio_chains_hist.csv",
         ["trial", "seed", "macro_chains", "max_small_chains"],
@@ -164,20 +163,6 @@ def write_results(results: list[TrialResult], out_dir: str) -> list[str]:
             for r in results
         ],
     )
-
-    n = len(results) or 1
-    summary_rows = []
-    for s in SETTING_NAMES:
-        summary_rows.append([f"mean_d_b[{s}]", _fmt(sum(r.d_b[s] for r in results) / n)])
-    for s in SETTING_NAMES:
-        rate = sum(1 for r in results if r.realized[s]) / n
-        summary_rows.append([f"realized_rate[{s}]", _fmt(rate)])
-    for o in OBJECTIVE_NAMES:
-        summary_rows.append(
-            [f"mean_aggregate[{o}]", _fmt(sum(r.aggregate[o] for r in results) / n)]
-        )
-    for o in OBJECTIVE_NAMES:
-        summary_rows.append([f"mean_jain[{o}]", _fmt(sum(r.jain[o] for r in results) / n)])
     for count in sorted({r.macro_chains_needed for r in results}):
         hits = sum(1 for r in results if r.macro_chains_needed == count)
         summary_rows.append([f"macro_chains={count}", str(hits)])

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
-from backhaulopt.errors import InconsistentInput, InfeasibleConfig
+from backhaulopt.errors import InconsistentInput, InfeasibleConfig, NonPositiveInput
 from backhaulopt.formulations import RadioChains, Setting
 from backhaulopt.model import (
     MACRO,
@@ -38,22 +38,20 @@ class GeneratorConfig:
 
 
 def _check_config(config: GeneratorConfig) -> None:
-    if config.num_small_bs < 1:
-        raise InfeasibleConfig("need at least one small BS")
-    if not 1 <= config.macro_degree <= config.num_small_bs:
+    # a count below its minimum is bad input; link_profile checks phy_rate_gbps
+    for name, least in (("num_small_bs", 1), ("macro_degree", 1),
+                        ("max_small_children", 0), ("interference_pair_budget", 0)):
+        value = getattr(config, name)
+        if value < least:
+            raise NonPositiveInput(f"{name} must be at least {least}, got {value}")
+    if config.macro_degree > config.num_small_bs:
         raise InfeasibleConfig(
-            f"macro_degree {config.macro_degree} must be in [1, {config.num_small_bs}]"
+            f"macro_degree {config.macro_degree} exceeds num_small_bs {config.num_small_bs}"
         )
-    if config.max_small_children < 0:
-        raise InfeasibleConfig("max_small_children cannot be negative")
     if config.num_small_bs > config.macro_degree and config.max_small_children < 1:
         raise InfeasibleConfig(
             "small BSs beyond the macro's direct children need somewhere to attach"
         )
-    if config.interference_pair_budget < 0:
-        raise InfeasibleConfig("interference_pair_budget cannot be negative")
-    if config.phy_rate_gbps <= 0:
-        raise InfeasibleConfig("phy_rate_gbps must be positive")
     hops = config.hop_distribution
     if not hops or any(
         not isinstance(h, int) or h < 1 or w < 0 for h, w in hops.items()

@@ -9,9 +9,9 @@ import os
 import pytest
 
 import helpers
-from backhaulopt import cli
+from backhaulopt import cli, errors
 from backhaulopt.cli import main
-from backhaulopt.errors import BackhaulError
+from backhaulopt.errors import BackhaulError, NonPositiveInput
 from backhaulopt.experiment import (
     OBJECTIVE_NAMES,
     SETTING_NAMES,
@@ -317,6 +317,51 @@ def test_cli_infeasible_exit_codes(tmp_path, capsys):
         "solve", str(topo), "--setting", "LI-ER",
         "--objective", "aggregate_fair", "--fair-floor", "1000",
     ]) == 2
+    # valid counts that no tree can meet
+    assert main(["generate", "--small-bs", "3", "--macro-degree", "4"]) == 2
+    assert main(["generate", "--small-bs", "5", "--macro-degree", "2", "--max-children", "0"]) == 2
+
+
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+@pytest.mark.parametrize("flag, value", [
+    ("--small-bs", "0"),
+    ("--small-bs", "-1"),
+    ("--macro-degree", "0"),
+    ("--max-children", "-1"),
+    ("--pairs", "-3"),
+    ("--phy-rate", "0"),
+])
+def test_cli_invalid_size_flag_exits_3(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    target = ["--out", str(out)] if command == "generate" else ["--out-dir", str(out)]
+    assert main([command, flag, value, *target]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert not out.exists()
+
+
+# every error class in the package; exit 2 is the verdict "infeasible as
+# posed", so a class joins this set only by deriving from Infeasible
+_ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, BackhaulError)),
+    key=lambda c: c.__name__,
+)
+_EXIT_2 = {
+    "Infeasible", "InfeasibleConfig", "InfeasibleFloor", "InterferenceNotMinimal",
+    "InvalidTopology", "PlacementFailure",
+}
+
+
+@pytest.mark.parametrize("error", [*_ERROR_CLASSES, OSError], ids=lambda c: c.__name__)
+def test_cli_exit_code_follows_the_error_class(tmp_path, monkeypatch, capsys, error):
+    def failing(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "generate_topology", failing)
+    code = 2 if error.__name__ in _EXIT_2 else 3
+    assert issubclass(error, errors.Infeasible) == (code == 2)
+    assert main(["generate", "--out", str(tmp_path / "t.json")]) == code
+    assert capsys.readouterr().err.startswith("infeasible:" if code == 2 else "error:")
 
 
 def test_cli_fair_floor_needs_the_fair_objective(tmp_path, capsys):
@@ -358,6 +403,12 @@ def test_experiment_needs_at_least_one_trial(tmp_path, capsys):
             main(["experiment", "--trials", str(trials), "--out-dir", str(tmp_path / "out")])
         assert err.value.code == 3
         assert "--trials" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_write_results_refuses_no_results(tmp_path):
+    with pytest.raises(NonPositiveInput):
+        write_results([], str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
 
 

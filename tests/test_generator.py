@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from backhaulopt import generator
-from backhaulopt.errors import InconsistentInput, InfeasibleConfig
+from backhaulopt.errors import InconsistentInput, InfeasibleConfig, NonPositiveInput
 from backhaulopt.formulations import parse_setting
 from backhaulopt.generator import (
     GeneratorConfig,
@@ -172,8 +172,17 @@ def test_custom_hop_distribution():
 
 
 def test_infeasible_configs_rejected():
-    with pytest.raises(InfeasibleConfig):
-        generate_topology(GeneratorConfig(num_small_bs=0))
+    # a count below its minimum, or a non-positive rate, is bad input
+    for bad in (
+        {"num_small_bs": 0},
+        {"macro_degree": 0},
+        {"max_small_children": -1},
+        {"interference_pair_budget": -1},
+        {"phy_rate_gbps": 0.0},
+    ):
+        with pytest.raises(NonPositiveInput):
+            generate_topology(GeneratorConfig(**bad))
+    # valid counts that no tree can meet
     with pytest.raises(InfeasibleConfig):
         generate_topology(GeneratorConfig(num_small_bs=5, macro_degree=6))
     with pytest.raises(InfeasibleConfig):
@@ -182,10 +191,6 @@ def test_infeasible_configs_rejected():
         generate_topology(GeneratorConfig(hop_distribution={}))
     with pytest.raises(InfeasibleConfig):
         generate_topology(GeneratorConfig(hop_distribution={0: 1.0}))
-    with pytest.raises(InfeasibleConfig):
-        generate_topology(GeneratorConfig(phy_rate_gbps=0.0))
-    with pytest.raises(InfeasibleConfig):
-        generate_topology(GeneratorConfig(interference_pair_budget=-1))
 
 
 def test_strip_interference():

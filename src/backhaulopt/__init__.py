@@ -23,12 +23,11 @@ from backhaulopt.model import (
     BaseStation,
     LogicalLink,
     NetworkTopology,
-    TrafficDemand,
     load_topology,
     make_link,
     save_topology,
 )
-from backhaulopt.scheduler import Schedule, achieved_rates, build_schedule
+from backhaulopt.scheduler import Schedule, build_schedule
 from backhaulopt.validator import ValidationReport, jain_index, validate_schedule
 
 __version__ = "1.0.0"
@@ -44,9 +43,7 @@ __all__ = [
     "RadioChains",
     "Schedule",
     "Setting",
-    "TrafficDemand",
     "ValidationReport",
-    "achieved_rates",
     "adapt_topology",
     "build_schedule",
     "generate_topology",

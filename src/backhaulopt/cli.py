@@ -39,13 +39,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive count")
-    return value
-
-
 def _seed_for(args) -> int:
     env = os.environ.get(SEED_ENV)
     if env is not None:
@@ -197,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = subs.add_parser("experiment", help="run the batch simulation")
     exp.add_argument("--seed", type=int, default=1,
                      help=f"base seed ({SEED_ENV} overrides when set)")
-    exp.add_argument("--trials", type=_positive_int, default=50)
+    exp.add_argument("--trials", type=int, default=50)
     # the paper's batch draws interference pairs; with none, LI equals MI
     _add_size_flags(exp, pairs=ExperimentConfig().interference_pair_budget)
     exp.add_argument("--out-dir", default="results", help="directory for the CSV files")

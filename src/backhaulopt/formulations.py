@@ -109,7 +109,7 @@ def _check_topology(topology: NetworkTopology, setting: Setting) -> None:
         raise InvalidTopology(topology.violations)
     if not topology.links:
         raise InvalidTopology(
-            [_model.ModelViolation("NoSmallBS", "demand is undefined without small cells")]
+            [_model.Violation("NoSmallBS", "demand is undefined without small cells")]
         )
     if setting.interference is Interference.MINIMAL and topology.interference_pairs:
         raise InterferenceNotMinimal(
@@ -117,15 +117,17 @@ def _check_topology(topology: NetworkTopology, setting: Setting) -> None:
             "use an LI setting or strip the pairs"
         )
     if setting.radio_chains is RadioChains.ENOUGH:
+        # a BS's links are its child links plus, on a valid tree, one inbound
+        # link for every small BS
         short = [
             s.id
             for s in topology.stations
-            if s.radio_chains < len(_model.attached_links(topology, s.id))
+            if s.radio_chains < len(topology.child_links(s.id)) + (s.kind == _model.SMALL)
         ]
         if short:
             raise InvalidTopology(
                 [
-                    _model.ModelViolation(
+                    _model.Violation(
                         "InsufficientChains",
                         f"B{b} has fewer radio chains than attached links "
                         "(enough-radio-chain setting)",

@@ -1,4 +1,4 @@
-"""Network model: base stations, logical links, tree topology, demands.
+"""Network model: base stations, logical links, tree topology, violations.
 
 The physical relay paths between base stations are abstracted away; a
 logical link keeps only its hop count and the endpoint capacity profile
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -48,7 +48,9 @@ class LogicalLink:
 
 
 @dataclass(frozen=True)
-class ModelViolation:
+class Violation:
+    """One defect a tree, setting or schedule check found: its kind and where."""
+
     kind: str
     detail: str
 
@@ -119,7 +121,7 @@ class NetworkTopology:
                 self._partners[b].append(a)
 
     @cached_property
-    def violations(self) -> tuple[ModelViolation, ...]:
+    def violations(self) -> tuple[Violation, ...]:
         """validate_tree plus validate_interference_model; empty on a valid tree."""
         return tuple(validate_tree(self) + validate_interference_model(self))
 
@@ -194,15 +196,6 @@ class NetworkTopology:
         return [s.id for s in self.stations if s.kind == SMALL]
 
 
-def attached_links(topology: NetworkTopology, bs_id: int) -> list[LogicalLink]:
-    """All links with a physical endpoint at bs_id (inbound + child links), ascending id."""
-    links = topology.child_links(bs_id)
-    inbound = topology.inbound_link(bs_id)
-    if inbound is not None:
-        links.append(inbound)
-    return sorted(links, key=lambda l: l.id)
-
-
 def subtree_bs_set(topology: NetworkTopology, bs_id: int) -> frozenset[int]:
     """BS ids in the subtree rooted at bs_id, including bs_id itself.
 
@@ -223,65 +216,65 @@ def subtree_bs_set(topology: NetworkTopology, bs_id: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def validate_tree(topology: NetworkTopology) -> list[ModelViolation]:
+def validate_tree(topology: NetworkTopology) -> list[Violation]:
     """Structural checks; empty list means the topology is a valid tree.
 
     Reachability reads the tree index, so a link to a missing BS is reported
     (UnknownEndpoint), not raised."""
-    out: list[ModelViolation] = []
+    out: list[Violation] = []
     macros = [s for s in topology.stations if s.kind == MACRO]
     if not macros:
-        out.append(ModelViolation("NoMacro", "topology has no macro BS"))
+        out.append(Violation("NoMacro", "topology has no macro BS"))
     elif len(macros) > 1:
         ids = ", ".join(str(s.id) for s in macros)
-        out.append(ModelViolation("DuplicateMacro", f"BSs {ids}"))
+        out.append(Violation("DuplicateMacro", f"BSs {ids}"))
 
     seen_ids = set()
     for s in topology.stations:
         if s.id in seen_ids:
-            out.append(ModelViolation("DuplicateBS", f"B{s.id}"))
+            out.append(Violation("DuplicateBS", f"B{s.id}"))
         seen_ids.add(s.id)
         if s.kind not in (MACRO, SMALL):
-            out.append(ModelViolation("UnknownKind", f"B{s.id} kind={s.kind!r}"))
+            out.append(Violation("UnknownKind", f"B{s.id} kind={s.kind!r}"))
         if s.radio_chains < 1:
-            out.append(ModelViolation("BadRadioChains", f"B{s.id} has {s.radio_chains}"))
+            out.append(Violation("BadRadioChains", f"B{s.id} has {s.radio_chains}"))
 
     inbound_of: dict[int, list[int]] = {}
     for link in topology.links:
         if link.parent not in topology._station_by_id or link.child not in topology._station_by_id:
-            out.append(ModelViolation("UnknownEndpoint", f"link {link.id}"))
+            out.append(Violation("UnknownEndpoint", f"link {link.id}"))
             continue
         if link.parent == link.child:
-            out.append(ModelViolation("SelfLoop", f"link {link.id} at B{link.parent}"))
+            out.append(Violation("SelfLoop", f"link {link.id} at B{link.parent}"))
         if link.id != link.child:
-            out.append(ModelViolation("LinkIdMismatch", f"link {link.id} feeds B{link.child}"))
+            out.append(Violation("LinkIdMismatch", f"link {link.id} feeds B{link.child}"))
         if macros and link.child == macros[0].id:
-            out.append(ModelViolation("MacroInbound", f"link {link.id}"))
+            out.append(Violation("MacroInbound", f"link {link.id}"))
         if link.hop_count < 1:
-            out.append(ModelViolation("BadHopCount", f"link {link.id} hops={link.hop_count}"))
+            out.append(Violation("BadHopCount", f"link {link.id} hops={link.hop_count}"))
         if link.capacity_gbps <= 0:
-            out.append(ModelViolation("BadCapacity", f"link {link.id}"))
+            out.append(Violation("BadCapacity", f"link {link.id}"))
         if not (0.0 < link.p_first_max <= 1.0) or not (0.0 < link.p_last_max <= 1.0):
-            out.append(ModelViolation("BadProfile", f"link {link.id}"))
+            out.append(Violation("BadProfile", f"link {link.id}"))
         inbound_of.setdefault(link.child, []).append(link.id)
 
     for bs_id, link_ids in inbound_of.items():
         if len(link_ids) > 1:
-            out.append(ModelViolation("DuplicateInbound", f"B{bs_id} links {link_ids}"))
+            out.append(Violation("DuplicateInbound", f"B{bs_id} links {link_ids}"))
 
     if len(macros) == 1:
         # every small BS must be reachable from the macro with exactly one inbound link
         reached = set(topology.subtree(macros[0].id))
         for s in topology.stations:
             if s.kind == SMALL and s.id not in reached:
-                out.append(ModelViolation("NotATree", f"B{s.id} unreachable from macro"))
+                out.append(Violation("NotATree", f"B{s.id} unreachable from macro"))
             if s.kind == SMALL and s.id not in inbound_of:
-                out.append(ModelViolation("MissingInbound", f"B{s.id}"))
+                out.append(Violation("MissingInbound", f"B{s.id}"))
         if len(topology.links) != len(topology.stations) - 1 and not any(
             v.kind in ("UnknownEndpoint", "DuplicateInbound", "MissingInbound") for v in out
         ):
             out.append(
-                ModelViolation(
+                Violation(
                     "NotATree",
                     f"{len(topology.links)} links for {len(topology.stations)} BSs",
                 )
@@ -289,26 +282,26 @@ def validate_tree(topology: NetworkTopology) -> list[ModelViolation]:
     return out
 
 
-def validate_interference_model(topology: NetworkTopology) -> list[ModelViolation]:
+def validate_interference_model(topology: NetworkTopology) -> list[Violation]:
     """Checks the limited-interference structure of the pair list.
 
     Interfering links must share a BS endpoint, and at each BS an attached
     link may have at most one interference partner among the links attached
     to that same BS (so a link has at most two partners overall, one per end).
     """
-    out: list[ModelViolation] = []
+    out: list[Violation] = []
     partner_at: dict[tuple[int, int], list[int]] = {}
     for a, b in topology.interference_pairs:
         if a == b:
-            out.append(ModelViolation("SelfPair", f"link {a}"))
+            out.append(Violation("SelfPair", f"link {a}"))
             continue
         if not topology.has_link(a) or not topology.has_link(b):
-            out.append(ModelViolation("UnknownLink", f"pair ({a}, {b})"))
+            out.append(Violation("UnknownLink", f"pair ({a}, {b})"))
             continue
         la, lb = topology.link(a), topology.link(b)
         shared = {la.parent, la.child} & {lb.parent, lb.child}
         if not shared:
-            out.append(ModelViolation("NoSharedBS", f"pair ({a}, {b})"))
+            out.append(Violation("NoSharedBS", f"pair ({a}, {b})"))
             continue
         for bs in shared:
             partner_at.setdefault((bs, a), []).append(b)
@@ -316,7 +309,7 @@ def validate_interference_model(topology: NetworkTopology) -> list[ModelViolatio
     for (bs, link_id), partners in sorted(partner_at.items()):
         if len(partners) > 1:
             out.append(
-                ModelViolation(
+                Violation(
                     "TooManyPartnersAtBS",
                     f"B{bs}, link {link_id} paired with links {sorted(partners)}",
                 )
@@ -395,19 +388,3 @@ def save_topology(topology: NetworkTopology, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(topology_to_dict(topology), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-@dataclass(frozen=True)
-class TrafficDemand:
-    """Per-small-BS demand vector; aggregate is the sum over all small BSs."""
-
-    per_bs: Mapping[int, float] = field(default_factory=dict)
-
-    @property
-    def aggregate(self) -> float:
-        return float(sum(self.per_bs.values()))
-
-    def subtree_demand(self, topology: NetworkTopology, link_id: int) -> float:
-        """Total demand routed over link_id (its child subtree's demand)."""
-        members = subtree_bs_set(topology, topology.link(link_id).child)
-        return float(sum(self.per_bs.get(b, 0.0) for b in members))

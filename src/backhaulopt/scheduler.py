@@ -54,15 +54,6 @@ class LinkSchedule:
     parent_side: list[tuple[int, float, float]]  # (chain at parent BS, start, end)
     child_side: list[tuple[int, float, float]]  # (chain at child BS, start, end)
 
-    def parent_total(self) -> float:
-        return sum(e - s for _, s, e in self.parent_side)
-
-    def child_total(self) -> float:
-        return sum(e - s for _, s, e in self.child_side)
-
-    def footprint_total(self) -> float:
-        return sum(e - s for s, e in self.footprint)
-
 
 @dataclass
 class Schedule:
@@ -151,7 +142,6 @@ class _State:
     def __init__(self, topology: NetworkTopology):
         self.topology = topology
         self.busy: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        self.plans: dict[int, _LinkPlan] = {}
         self.line12_overflow: list[int] = []
 
     def chain_busy(self, bs: int, chain: int) -> list[tuple[int, int]]:
@@ -274,7 +264,6 @@ def _finish_link(state: _State, link, plan: _LinkPlan) -> None:
     for chain, s, e in plan.parent_pieces:
         state.occupy(link.parent, chain, [(s, e)])
     state.occupy(link.child, 0, [(s, e) for _, s, e in plan.child_pieces])
-    state.plans[link.id] = plan
 
 
 def _place_link(state, link, plan, forbidden):
@@ -317,7 +306,7 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
                 pid = partner[0]
                 link = by_id[pid]
                 plan = plans[pid]
-                _place_link(state, link, plan, forbidden=state.plans[inbound.id].footprint)
+                _place_link(state, link, plan, forbidden=plans[inbound.id].footprint)
                 if any(chain > 0 for chain, _, _ in plan.parent_pieces):
                     state.line12_overflow.append(pid)
                 remaining.discard(pid)
@@ -343,14 +332,12 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
             _finish_link(state, by_id[b], plan_b)
             remaining -= {a, b}
 
-    return _emit(state, topology)
+    return _emit(state, plans)
 
 
-def _emit(state: _State, topology: NetworkTopology) -> Schedule:
-    links = {}
-    for lid in sorted(state.plans):
-        plan = state.plans[lid]
-        links[lid] = LinkSchedule(
+def _emit(state: _State, plans: dict[int, _LinkPlan]) -> Schedule:
+    links = {
+        lid: LinkSchedule(
             link_id=lid,
             footprint=[(s / GRID, e / GRID) for s, e in plan.footprint],
             parent_side=[
@@ -359,26 +346,14 @@ def _emit(state: _State, topology: NetworkTopology) -> Schedule:
             ],
             child_side=[(chain, s / GRID, e / GRID) for chain, s, e in plan.child_pieces],
         )
+        for lid, plan in plans.items()
+    }
     chains = {
         key: [(s / GRID, e / GRID) for s, e in intervals]
         for key, intervals in sorted(state.busy.items())
     }
     meta = {"line12_overflow": sorted(state.line12_overflow)}
     return Schedule(links=links, per_bs_chains=chains, meta=meta)
-
-
-def achieved_rates(topology: NetworkTopology, schedule: Schedule) -> dict[int, float]:
-    """Data rate each link sustains under the realized schedule."""
-    rates = {}
-    for link in topology.links:
-        if link.id not in schedule.links:
-            raise MissingLink(f"schedule has no entry for link {link.id}")
-        ls = schedule.links[link.id]
-        rates[link.id] = (
-            min(ls.parent_total() / link.p_first_max, ls.child_total() / link.p_last_max)
-            * link.capacity_gbps
-        )
-    return rates
 
 
 # -- JSON round-trip ---------------------------------------------------------

@@ -34,7 +34,8 @@ import math
 from dataclasses import dataclass, field
 
 from backhaulopt.errors import AllZeroDemands, InvalidTopology
-from backhaulopt.model import NetworkTopology, subtree_bs_set  # noqa: F401 (perfbench wraps it)
+from backhaulopt.model import NetworkTopology, Violation
+from backhaulopt.model import subtree_bs_set  # noqa: F401 (perfbench wraps it)
 from backhaulopt.scheduler import Schedule
 
 TOL_INTERVAL = 1e-9
@@ -43,18 +44,9 @@ TOL_RATE = 1e-6
 Interval = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class ScheduleViolation:
-    kind: str
-    detail: str
-
-    def __str__(self) -> str:
-        return f"{self.kind}({self.detail})"
-
-
 @dataclass
 class ValidationReport:
-    violations: list[ScheduleViolation] = field(default_factory=list)
+    violations: list[Violation] = field(default_factory=list)
     realized_rates: dict[int, float] = field(default_factory=dict)
     realized_equal_demand: float = 0.0
 
@@ -164,7 +156,7 @@ def validate_schedule(
     report = ValidationReport()
 
     def add(kind: str, detail: str) -> None:
-        report.violations.append(ScheduleViolation(kind, detail))
+        report.violations.append(Violation(kind, detail))
 
     for lid in sorted(schedule.links):
         if not topology.has_link(lid):

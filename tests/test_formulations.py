@@ -151,6 +151,11 @@ def test_setting_preconditions():
     starved = helpers.star(3, hop=1, chains={0: 1})
     with pytest.raises(InvalidTopology):
         solve_equal_demand(starved, MI_ER)  # ER demands a chain per link
+    # B1 has an inbound and a child link: one chain starves it, two suffice
+    relay = helpers.chain(hops=(1, 1), chains={1: 1})
+    with pytest.raises(InvalidTopology, match="B1 has fewer radio chains"):
+        solve_equal_demand(relay, MI_ER)
+    assert solve_equal_demand(helpers.chain(hops=(1, 1), chains={1: 2}), MI_ER).d_b_gbps > 0
     empty = helpers.topology([])
     with pytest.raises(InvalidTopology):
         solve_equal_demand(empty, MI_ER)

@@ -14,8 +14,6 @@ from backhaulopt.model import (
     SMALL,
     BaseStation,
     NetworkTopology,
-    TrafficDemand,
-    attached_links,
     load_topology,
     make_link,
     save_topology,
@@ -103,7 +101,6 @@ def test_accessors_and_sorted_views():
     assert topo.inbound_link(0) is None
     assert topo.inbound_link(2).id == 2
     assert [l.id for l in topo.child_links(1)] == [2]
-    assert [l.id for l in attached_links(topo, 1)] == [1, 2]
     with pytest.raises(UnknownBS):
         topo.station(99)
 
@@ -196,14 +193,6 @@ def test_bad_json_raises(tmp_path):
     path2.write_text(json.dumps({"links": []}))
     with pytest.raises(InconsistentInput):
         load_topology(str(path2))
-
-
-def test_traffic_demand_subtree_sums():
-    topo = helpers.chain(hops=(1, 1))
-    demand = TrafficDemand({1: 2.0, 2: 3.0})
-    assert demand.aggregate == 5.0
-    assert demand.subtree_demand(topo, 1) == 5.0
-    assert demand.subtree_demand(topo, 2) == 3.0
 
 
 # -- the tree index ----------------------------------------------------------

@@ -33,12 +33,7 @@ from backhaulopt.generator import (
     strip_interference,
 )
 from backhaulopt.model import make_link
-from backhaulopt.scheduler import (
-    achieved_rates,
-    build_schedule,
-    schedule_from_dict,
-    schedule_to_dict,
-)
+from backhaulopt.scheduler import build_schedule, schedule_from_dict, schedule_to_dict
 from backhaulopt.validator import validate_schedule
 
 
@@ -97,7 +92,7 @@ def test_inbound_partner_child_dodges_footprint():
 
 def test_achieved_rates_scale_with_duty():
     topo = helpers.chain(hops=(2, 1))
-    rates = achieved_rates(topo, build_schedule(topo, {1: 0.5, 2: 0.25}))
+    rates = validate_schedule(topo, build_schedule(topo, {1: 0.5, 2: 0.25})).realized_rates
     assert rates[1] == pytest.approx(6.65, abs=1e-6)  # full duty on C = 6.65
     assert rates[2] == pytest.approx(13.3 * 0.25, abs=1e-6)
 
@@ -107,8 +102,9 @@ def test_awkward_fractions_stay_on_grid():
     p = {1: 1 / 3, 2: 1 / 7, 3: 2 / 3}
     sched = build_schedule(topo, p)
     for lid, want in p.items():
-        assert sched.links[lid].parent_total() == pytest.approx(want, abs=1e-9)
-        assert sched.links[lid].footprint_total() == pytest.approx(want, abs=1e-9)
+        parent = [(s, e) for _, s, e in sched.links[lid].parent_side]
+        assert oracles.interval_total(parent) == pytest.approx(want, abs=1e-9)
+        assert oracles.interval_total(sched.links[lid].footprint) == pytest.approx(want, abs=1e-9)
 
 
 def test_overfull_chain_is_a_placement_failure():

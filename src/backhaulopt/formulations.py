@@ -10,6 +10,11 @@ link's first physical link. The last physical link's fraction is not a
 variable: allocating it beyond p_f[i] * P_l/P_f is useless, so it is
 eliminated through that identity.
 
+Column layout: the demand columns come first (D_B, or D[b] per small BS in
+ascending id), then, under LI or LR, one p_f per link in ascending link id,
+so link r's fraction is column len(demand columns) + r. MI-ER has no p_f
+columns: its fractions follow from the demands alone.
+
 The aggregate objectives are solved by the simplex. The equal-demand
 optimum has a closed form, which solve_equal_demand computes directly;
 build_equal_demand_lp still builds its LP, the route tests check it against.
@@ -20,9 +25,8 @@ from __future__ import annotations
 import enum
 import math
 import re
-from collections.abc import Iterator
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,162 +141,104 @@ def _check_topology(topology: NetworkTopology, setting: Setting) -> None:
             )
 
 
-def _needs_p_vars(setting: Setting) -> bool:
-    return (
-        setting.interference is Interference.LIMITED
-        or setting.radio_chains is RadioChains.LIMITED
-    )
-
-
-@dataclass
-class _VarMap:
-    """Column layout of a formulation LP."""
-
-    topology: NetworkTopology
-    demand_cols: dict[int, int]  # small BS id -> its demand column
-    p_cols: dict[int, int] = field(default_factory=dict)  # link id -> column
-
-    def subtree_cols(self) -> Iterator[tuple[int, list[int]]]:
-        """(link id, demand column of each BS in the link's subtree, in preorder)."""
-        topology = self.topology
-        order = topology.subtree(topology.macro.id)
-        pre_cols = [self.demand_cols.get(b, -1) for b in order]  # the macro has no column
-        for link in topology.links:
-            yield link.id, pre_cols[topology.subtree_slice(link.child)]
-
-    @cached_property
-    def carried(self) -> dict[int, dict[int, int]]:
-        """link id -> {demand column: subtree BSs on it}, the demand the link
-        carries, columns in the order the subtree's preorder first meets them.
-
-        Built on first use: only a decode without p_f columns reads it.
-        """
-        out = {}
-        for link_id, cols in self.subtree_cols():
-            counts = out[link_id] = dict.fromkeys(cols, 0)
-            for col in cols:
-                counts[col] += 1
-        return out
-
-
-def _add_p_constraints(
-    lp: LinearProgram,
-    topology: NetworkTopology,
-    setting: Setting,
-    vmap: _VarMap,
-    rows: np.ndarray,
-) -> None:
-    """Box bounds, and the interference and radio-chain rows filled into rows.
-
-    rows holds one zero row per interference pair under LI, then one per
-    BS under LR. In a valid tree the link into a BS is the link whose child
-    it is, and no link is both a BS's inbound link and one of its child
-    links, so every cell below is written once.
-    """
-    for link in topology.links:
-        lp.set_bounds(vmap.p_cols[link.id], 0.0, link.p_first_max)
-
-    pairs = topology.interference_pairs if setting.interference is Interference.LIMITED else ()
-    # interfering links must share the frame: p_i/P_i + p_j/P_j <= 1
-    for side in (0, 1):
-        links = [topology.link(pair[side]) for pair in pairs]
-        cols = np.array([vmap.p_cols[link.id] for link in links], dtype=np.intp)
-        rows[np.arange(len(pairs)), cols] = [1.0 / link.p_first_max for link in links]
-
-    if setting.radio_chains is RadioChains.LIMITED:
-        # per-BS radio-chain time: last-link share of the inbound link plus
-        # first-link shares of all child links
-        row_of = {s.id: len(pairs) + r for r, s in enumerate(topology.stations)}
-        links = topology.links
-        cols = [vmap.p_cols[link.id] for link in links]
-        rows[[row_of[link.child] for link in links], cols] = [
-            link.p_last_max / link.p_first_max for link in links
-        ]
-        rows[[row_of[link.parent] for link in links], cols] = 1.0
-
-
 def _build_demand_lp(
     topology: NetworkTopology,
     setting: Setting,
     demand_names: list[str],
     demand_cols: dict[int, int],
     floors: dict[int, float] | None = None,
-) -> tuple[LinearProgram, _VarMap]:
+) -> LinearProgram:
     """maximize the sum of the demand columns over the capacity program.
 
     Each small BS demands its column of demand_cols; a link must carry the
     demand of every BS in its subtree. With minimal interference and enough
     radio chains the active-time fractions are unconstrained apart from
-    their boxes, so the LP holds the demands alone; otherwise one p_f[i]
-    per link joins the program. The rows are filled by index into one
-    matrix: links, then interference pairs under LI, then every BS under LR
-    (each BS of a valid tree has a link, so no BS row is zero).
+    their boxes, so the LP holds the demands alone; otherwise link r's
+    p_f column is len(demand_names) + r. The rows are filled by index into
+    one matrix: links, then interference pairs under LI, then every BS
+    under LR (each BS of a valid tree has a link, so no BS row is zero).
+    In a valid tree the link into a BS is the link whose child it is, and
+    no link is both a BS's inbound link and one of its child links, so
+    every cell is written once.
     """
     _check_topology(topology, setting)
-    with_p = _needs_p_vars(setting)
+    limited = setting.interference is Interference.LIMITED
     links = topology.links
-
+    pairs = topology.interference_pairs if limited else ()
+    stations = topology.stations if setting.radio_chains is RadioChains.LIMITED else ()
     names = list(demand_names)
-    vmap = _VarMap(topology, demand_cols)
-    if with_p:
-        for link in links:
-            vmap.p_cols[link.id] = len(names)
-            names.append(f"p_f[{link.id}]")
+    if limited or stations:  # LI or LR: one p_f per link
+        names += [f"p_f[{link.id}]" for link in links]
+    p_cols = range(len(demand_names), len(names))
     lp = LinearProgram(len(names), names)
     objective = np.zeros(lp.num_vars)
     objective[list(demand_cols.values())] = 1.0
     lp.set_objective(objective)
-
-    limited = setting.interference is Interference.LIMITED
-    num_pairs = len(topology.interference_pairs) if limited else 0
-    stations = topology.stations if setting.radio_chains is RadioChains.LIMITED else ()
-    rows = np.zeros((len(links) + num_pairs + len(stations), lp.num_vars))
+    rows = np.zeros((len(links) + len(pairs) + len(stations), lp.num_vars))
 
     # a link carries the demand of each BS in its subtree: -1 per BS in its
-    # demand column, so each column ends at exactly -float(count)
+    # demand column, so each column ends at exactly -float(count) (the macro,
+    # in no link's subtree, has no column)
+    pre_cols = [demand_cols.get(b, -1) for b in topology.subtree(topology.macro.id)]
     cell_rows, cell_cols = [], []
-    for r, (_, cols) in enumerate(vmap.subtree_cols()):
+    for r, link in enumerate(links):
+        cols = pre_cols[topology.subtree_slice(link.child)]
         cell_rows += [r] * len(cols)
         cell_cols += cols
     np.subtract.at(rows, (cell_rows, cell_cols), 1.0)
     capacity = np.array([link.capacity_gbps for link in links])
-    if with_p:
-        # (C_i / P_i^f) p_i >= demand carried by link i
-        p_first = np.array([link.p_first_max for link in links])
-        rows[np.arange(len(links)), list(vmap.p_cols.values())] = capacity / p_first
-        _add_p_constraints(lp, topology, setting, vmap, rows[len(links) :])
-        chains = [float(s.radio_chains) for s in stations]
-        rhs = np.concatenate([np.zeros(len(links)), np.ones(num_pairs), chains])
-    else:
+    if not p_cols:
         # demand carried by link i <= C_i
         rhs = -capacity
-    relations = [Relation.GE] * len(links) + [Relation.LE] * (num_pairs + len(stations))
+    else:
+        # (C_i / P_i^f) p_i >= demand carried by link i, with 0 <= p_i <= P_i^f
+        col_of = {link.id: col for link, col in zip(links, p_cols)}
+        p_first = np.array([link.p_first_max for link in links])
+        rows[np.arange(len(links)), p_cols] = capacity / p_first
+        for col, link in zip(p_cols, links):
+            lp.set_bounds(col, 0.0, link.p_first_max)
+        # interfering links must share the frame: p_i/P_i + p_j/P_j <= 1
+        for side in (0, 1):
+            side_links = [topology.link(pair[side]) for pair in pairs]
+            rows[len(links) + np.arange(len(pairs)), [col_of[l.id] for l in side_links]] = [
+                1.0 / l.p_first_max for l in side_links
+            ]
+        if stations:
+            # per-BS radio-chain time: last-link share of the inbound link
+            # plus first-link shares of all child links
+            row_of = {s.id: len(links) + len(pairs) + r for r, s in enumerate(stations)}
+            rows[[row_of[l.child] for l in links], p_cols] = [
+                l.p_last_max / l.p_first_max for l in links
+            ]
+            rows[[row_of[l.parent] for l in links], p_cols] = 1.0
+        chains = [float(s.radio_chains) for s in stations]
+        rhs = np.concatenate([np.zeros(len(links)), np.ones(len(pairs)), chains])
+    relations = [Relation.GE] * len(links) + [Relation.LE] * (len(pairs) + len(stations))
     lp.add_constraints(rows, relations, rhs)
-    if floors:
-        for b, floor in floors.items():
-            if floor > 0.0:
-                lp.set_bounds(demand_cols[b], floor, math.inf)
-    return lp, vmap
+    for b, floor in (floors or {}).items():
+        if floor > 0.0:
+            lp.set_bounds(demand_cols[b], floor, math.inf)
+    return lp
 
 
 def build_equal_demand_lp(
     topology: NetworkTopology, setting: Setting
-) -> tuple[LinearProgram, _VarMap]:
+) -> tuple[LinearProgram, dict[int, int]]:
     """maximize D_B, every small BS demanding D_B."""
     cols = dict.fromkeys(topology.small_bs_ids(), 0)
-    return _build_demand_lp(topology, setting, ["D_B"], cols)
+    return _build_demand_lp(topology, setting, ["D_B"], cols), cols
 
 
 def build_aggregate_lp(
     topology: NetworkTopology,
     setting: Setting,
     floors: dict[int, float] | None = None,
-) -> tuple[LinearProgram, _VarMap]:
+) -> tuple[LinearProgram, dict[int, int]]:
     """maximize sum of per-BS demands, optionally with per-BS floors."""
     small = topology.small_bs_ids()
     names = [f"D[{b}]" for b in small]
     cols = {b: i for i, b in enumerate(small)}
-    return _build_demand_lp(topology, setting, names, cols, floors)
+    return _build_demand_lp(topology, setting, names, cols, floors), cols
 
 
 def _p_last(topology: NetworkTopology, p_first: dict[int, float]) -> dict[int, float]:
@@ -300,17 +246,18 @@ def _p_last(topology: NetworkTopology, p_first: dict[int, float]) -> dict[int, f
 
 
 def _decode(
-    topology: NetworkTopology, vmap: _VarMap, assignment, objective: Objective
+    topology: NetworkTopology, demand_cols: dict[int, int], assignment, objective: Objective
 ) -> DemandSolution:
-    demand = {c: max(float(assignment[c]), 0.0) for c in vmap.demand_cols.values()}
-    per_bs = {b: demand[c] for b, c in vmap.demand_cols.items()}
+    demand = {c: max(float(assignment[c]), 0.0) for c in demand_cols.values()}
+    per_bs = {b: demand[c] for b, c in demand_cols.items()}
     p_first = {}
-    for link in topology.links:
-        if vmap.p_cols:
-            p = float(assignment[vmap.p_cols[link.id]])
+    for r, link in enumerate(topology.links):
+        if len(assignment) > len(demand):  # the p_f columns follow the demand columns
+            p = float(assignment[len(demand) + r])
         else:
             # smallest feasible fraction for the demand the link carries
-            carried = sum(count * demand[c] for c, count in vmap.carried[link.id].items())
+            counts = Counter(demand_cols[b] for b in topology.subtree(link.child))
+            carried = sum(count * demand[c] for c, count in counts.items())
             p = link.p_first_max * carried / link.capacity_gbps
         p_first[link.id] = min(max(p, 0.0), link.p_first_max)
     return DemandSolution(
@@ -397,15 +344,14 @@ def solve_aggregate(
             if floor_val < 0.0:
                 raise InconsistentInput(f"fair floor {floor_val} is negative")
         floors = {b: floor_val for b in topology.small_bs_ids()}
-    lp, vmap = build_aggregate_lp(topology, setting, floors)
+    lp, demand_cols = build_aggregate_lp(topology, setting, floors)
     sol = solve(lp)
     if sol.status is LpStatus.INFEASIBLE:
         raise InfeasibleFloor(f"no feasible demand vector with floor {floor_val}")
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverFailure(f"aggregate LP was {sol.status.value}")
-    out = _decode(
-        topology, vmap, sol.assignment, Objective.AGGREGATE_FAIR if fair else Objective.AGGREGATE
-    )
+    objective = Objective.AGGREGATE_FAIR if fair else Objective.AGGREGATE
+    out = _decode(topology, demand_cols, sol.assignment, objective)
     out.fair_floor_gbps = floor_val
     out.lp_iterations = sol.iterations
     return out

@@ -350,18 +350,31 @@ def topology_to_dict(topology: NetworkTopology) -> dict:
     }
 
 
+def json_int(value) -> int:
+    """A count or id field of an input JSON document.
+
+    It must hold a JSON integer: an int that is not a bool. int() would
+    truncate 2.5 and true and overflow on Infinity; anything but an int
+    raises TypeError here, which the from_dict readers report as
+    InconsistentInput. Map keys are strings and go through int() instead.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not a JSON integer")
+    return value
+
+
 def topology_from_dict(data: Mapping) -> NetworkTopology:
     try:
         stations = [
-            BaseStation(int(s["id"]), str(s["kind"]), int(s["radio_chains"]))
+            BaseStation(json_int(s["id"]), str(s["kind"]), json_int(s["radio_chains"]))
             for s in data["stations"]
         ]
         links = [
             make_link(
-                int(l["id"]),
-                int(l["parent"]),
-                int(l["child"]),
-                int(l["hops"]),
+                json_int(l["id"]),
+                json_int(l["parent"]),
+                json_int(l["child"]),
+                json_int(l["hops"]),
                 float(l.get("phy_rate_gbps", _capacity.DEFAULT_PHY_RATE_GBPS)),
                 capacity_gbps=(None if "capacity_gbps" not in l else float(l["capacity_gbps"])),
                 p_first_max=(None if "p_first_max" not in l else float(l["p_first_max"])),
@@ -369,7 +382,7 @@ def topology_from_dict(data: Mapping) -> NetworkTopology:
             )
             for l in data["links"]
         ]
-        pairs = [(int(a), int(b)) for a, b in data.get("interference", [])]
+        pairs = [(json_int(a), json_int(b)) for a, b in data.get("interference", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise InconsistentInput(f"topology JSON does not match schema: {exc}") from exc
     return NetworkTopology(stations, links, pairs)

@@ -36,7 +36,7 @@ from backhaulopt.errors import (
     NonFiniteInput,
     PlacementFailure,
 )
-from backhaulopt.model import NetworkTopology
+from backhaulopt.model import NetworkTopology, json_int
 
 GRID = 10**12
 # Placement may come up short by LP round-off; anything within this many grid
@@ -392,18 +392,20 @@ def schedule_from_dict(data: dict) -> Schedule:
                 link_id=int(lid),
                 footprint=[(float(s), float(e)) for s, e in entry["footprint"]],
                 parent_side=[
-                    (int(p["chain"]), float(p["start"]), float(p["end"]))
+                    (json_int(p["chain"]), float(p["start"]), float(p["end"]))
                     for p in entry["parent_side"]
                 ],
                 child_side=[
-                    (int(p["chain"]), float(p["start"]), float(p["end"]))
+                    (json_int(p["chain"]), float(p["start"]), float(p["end"]))
                     for p in entry["child_side"]
                 ],
             )
             for lid, entry in data["links"].items()
         }
         chains = {
-            (int(c["bs"]), int(c["chain"])): [(float(s), float(e)) for s, e in c["intervals"]]
+            (json_int(c["bs"]), json_int(c["chain"])): [
+                (float(s), float(e)) for s, e in c["intervals"]
+            ]
             for c in data.get("chains", [])
         }
     except (KeyError, TypeError, ValueError) as exc:

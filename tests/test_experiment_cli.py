@@ -197,6 +197,35 @@ def test_cli_validate_rejects_negative_demands(tmp_path, capsys):
     assert "negative" in captured.err
 
 
+@pytest.mark.parametrize("value", [0.5, True])
+def test_cli_validate_rejects_a_chain_that_is_not_a_json_integer(tmp_path, capsys, value):
+    # int() truncated these to chain 0 or 1, and the schedule passed as OK
+    topo, sol, sched = (tmp_path / n for n in ("t.json", "s.json", "f.json"))
+    main(["generate", "--seed", "7", "--out", str(topo)])
+    main(["solve", str(topo), "--setting", "MI-ER", "--out", str(sol)])
+    main(["schedule", str(topo), str(sol), "--out", str(sched)])
+    data = json.loads(sched.read_text())
+    next(iter(data["links"].values()))["parent_side"][0]["chain"] = value
+    sched.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["validate", str(topo), str(sol), str(sched)]) == 3
+    captured = capsys.readouterr()
+    assert "schedule OK" not in captured.out
+    assert "not a JSON integer" in captured.err
+
+
+def test_cli_solve_rejects_hops_that_are_not_a_json_integer(tmp_path, capsys):
+    # int() truncated 2.5 hops to 2, and the solve exited 0
+    topo = tmp_path / "t.json"
+    main(["generate", "--seed", "7", "--out", str(topo)])
+    data = json.loads(topo.read_text())
+    data["links"][0]["hops"] = 2.5
+    topo.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["solve", str(topo), "--setting", "MI-ER"]) == 3
+    assert "not a JSON integer" in capsys.readouterr().err
+
+
 def test_cli_validate_reads_p_last_and_d_b(tmp_path, capsys):
     topo, sol, sched = (tmp_path / n for n in ("t.json", "s.json", "f.json"))
     main(["generate", "--seed", "4", "--out", str(topo)])

@@ -351,8 +351,14 @@ def _lp_image(lp):
     )
 
 
-def _carried_image(carried):
-    return [(link_id, list(counts.items())) for link_id, counts in carried.items()]
+def _fraction_hex(topo, carried, assignment):
+    """p_first of each link from the reference's carried counts, as exact hex."""
+    out = {}
+    for link in topo.links:
+        load = sum(count * assignment[c] for c, count in carried[link.id].items())
+        p = link.p_first_max * load / link.capacity_gbps
+        out[link.id] = min(max(p, 0.0), link.p_first_max).hex()
+    return out
 
 
 def _builds(topo, setting):
@@ -388,10 +394,15 @@ def test_array_builder_matches_the_row_builder(n):
         # generated links have P_l = P_f; the redrawn profiles do not
         for tree in (base, _random_profiles(base, random.Random(seed))):
             for topo, setting in _setting_cases(tree):
-                for (got, vmap), (want, carried) in _builds(topo, setting):
+                for (got, cols), (want, carried) in _builds(topo, setting):
                     label = (n, seed, setting.name, got.names[0])
                     assert _lp_image(got) == _lp_image(want), label
-                    assert _carried_image(vmap.carried) == _carried_image(carried), label
+                    if setting == MI_ER:
+                        # the decode counts each link's carried demand itself
+                        x = [0.01 / (3 + c) for c in range(got.num_vars)]
+                        sol = _decode(topo, cols, x, Objective.AGGREGATE)
+                        got_hex = {i: p.hex() for i, p in sol.p_first.items()}
+                        assert got_hex == _fraction_hex(topo, carried, x), label
 
 
 # -- the closed form against the LP route ------------------------------------
@@ -435,10 +446,10 @@ def _random_profiles(topo, rng):
 
 
 def _lp_route(topo, setting):
-    lp, vmap = build_equal_demand_lp(topo, setting)
+    lp, cols = build_equal_demand_lp(topo, setting)
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL
-    return _decode(topo, vmap, sol.assignment, Objective.EQUAL_DEMAND)
+    return _decode(topo, cols, sol.assignment, Objective.EQUAL_DEMAND)
 
 
 def _assert_matches_lp_route(topo, setting):

@@ -101,9 +101,13 @@ def test_one_bad_number_never_validates(files, data):
     assert code in (1, 3), (target, path, value, out.getvalue())
 
 
-# values a mutated field may take: wrong types, and numbers at the edges of
-# what a float or a radio-chain count can hold
-WRONG = st.sampled_from([None, "x", [], [1, 2], {}, {"a": 1}, 1e308, -1e308, 2**70])
+# values a mutated field may take: wrong types, numbers at the edges of what
+# a float or a radio-chain count can hold, non-finite numbers (json.load
+# accepts Infinity and NaN), and a fraction and a bool where a count belongs
+WRONG = st.sampled_from(
+    [None, "x", [], [1, 2], {}, {"a": 1}, 1e308, -1e308, 2**70,
+     math.inf, -math.inf, math.nan, 0.5, True]
+)
 
 
 def _paths(doc, prefix=()):

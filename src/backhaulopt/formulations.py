@@ -425,13 +425,11 @@ def solution_from_dict(data: dict) -> DemandSolution:
             raise InconsistentInput(f"solution JSON {name} must be an object")
     try:
         objective = Objective(data["objective"])
-        per_bs = {int(b): float(v) for b, v in data["per_bs"].items()}
-        p_first = {int(i): float(v) for i, v in data["p_first"].items()}
-        p_last = {int(i): float(v) for i, v in data["p_last"].items()}
-        d_b = data.get("d_b_gbps")
-        d_b = None if d_b is None else float(d_b)
-        floor = data.get("fair_floor_gbps")
-        floor = None if floor is None else float(floor)
+        per_bs = {int(b): _model.json_float(v) for b, v in data["per_bs"].items()}
+        p_first = {int(i): _model.json_float(v) for i, v in data["p_first"].items()}
+        p_last = {int(i): _model.json_float(v) for i, v in data["p_last"].items()}
+        optional = (data.get("d_b_gbps"), data.get("fair_floor_gbps"))
+        d_b, floor = (None if v is None else _model.json_float(v) for v in optional)
     except (KeyError, TypeError, ValueError) as exc:
         raise InconsistentInput(f"solution JSON does not match schema: {exc}") from exc
     # demands and active-time fractions are finite and never negative

@@ -18,15 +18,12 @@ UNBOUNDED = 1
 ITERATION_LIMIT = 2
 
 
-def eliminate(tableau, row, col, rows=None):
+def eliminate(tableau, row, col, rows):
     """Pivot on (row, col): scale the row, clear col from every other row.
 
-    rows, if given, lists the rows whose entry in col is nonzero, in
-    ascending order; otherwise the column is scanned here.
+    rows lists the rows whose entry in col is nonzero, in ascending order.
     """
     T = tableau
-    if rows is None:
-        rows = np.flatnonzero(T[:, col])
     T[row, :] /= T[row, col]
     pivot_row = T[row, :]
     # one row at a time: temporaries stay one row long, so peak memory does

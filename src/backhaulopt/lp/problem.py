@@ -5,8 +5,8 @@ and <=, >=, = row constraints. Small and dense on purpose: every LP in this
 package has at most a few hundred rows.
 
 The rows live in one (k, num_vars) float64 matrix with a relation per row
-and a right-hand-side array; a builder fills a block by index and hands it
-over in one add_constraints call. `constraints` reads the same storage back
+and a right-hand-side array; a builder fills a block by index and adds a
+copy in one add_constraints call. `constraints` reads the same storage back
 one row at a time. Every number that enters is checked to be finite.
 """
 
@@ -47,9 +47,8 @@ class LinearProgram:
 
     The constraint rows are `matrix` (one row per constraint, in the order
     they were added), `relations` and `rhs`, all read-only: rows go in only
-    through add_constraint and add_constraints, which check them. Storage
-    grows by doubling, so adding rows one at a time stays linear in the
-    number of rows.
+    through add_constraint and add_constraints, which check them and copy
+    them, so the program never shares memory with a caller's array.
     """
 
     def __init__(self, num_vars: int, names: list[str] | None = None):
@@ -61,7 +60,7 @@ class LinearProgram:
         self.names = list(names) if names is not None else [f"x{i}" for i in range(num_vars)]
         self.objective = np.zeros(num_vars)
         self._relations: list[Relation] = []
-        self._rows = np.empty((0, num_vars))  # capacity >= len(_relations)
+        self._rows = np.empty((0, num_vars))
         self._rhs = np.empty(0)
         self.lower = np.zeros(num_vars)
         self.upper = np.full(num_vars, np.inf)
@@ -74,12 +73,12 @@ class LinearProgram:
     @property
     def matrix(self) -> np.ndarray:
         """The (k, num_vars) constraint matrix."""
-        return _read_only(self._rows[: len(self._relations)])
+        return _read_only(self._rows)
 
     @property
     def rhs(self) -> np.ndarray:
         """The k right-hand sides."""
-        return _read_only(self._rhs[: len(self._relations)])
+        return _read_only(self._rhs)
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
@@ -111,8 +110,6 @@ class LinearProgram:
 
         rows is an (r, num_vars) array; relation is one Relation for the
         whole block or a sequence of r; rhs is one number or a sequence of r.
-        A first block that is a float64 array owning its memory becomes the
-        storage itself rather than a copy, and is made read-only.
         """
         a = np.asarray(rows, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.num_vars:
@@ -126,18 +123,8 @@ class LinearProgram:
             raise DimensionMismatch(f"{r} rows need {r} relations")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise NonFiniteInput("constraint coefficients and right-hand sides must be finite")
-        k = len(self._relations)
-        if k == 0 and a.base is None and a.flags.c_contiguous:
-            a.flags.writeable = False  # rows change only through these adds
-            self._rows, self._rhs = a, np.broadcast_to(b, (r,)).copy()
-        else:
-            if k + r > len(self._rows):
-                grown = np.empty((max(k + r, 2 * k), self.num_vars))
-                grown[:k] = self._rows[:k]  # rows past len(_relations) are spare
-                self._rows = grown
-                self._rhs = np.concatenate([self._rhs[:k], np.empty(len(grown) - k)])
-            self._rows[k : k + r] = a
-            self._rhs[k : k + r] = b
+        self._rows = np.concatenate([self._rows, a])
+        self._rhs = np.concatenate([self._rhs, np.broadcast_to(b, (r,))])
         self._relations += rels
 
     def set_bounds(self, index: int, lower: float = 0.0, upper: float = np.inf) -> None:

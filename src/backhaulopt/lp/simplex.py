@@ -102,7 +102,7 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
                 drop_rows.append(r)
                 continue
             pivot_col = int(nonzero[0])
-            _kernel_py.eliminate(T, r, pivot_col)
+            _kernel_py.eliminate(T, r, pivot_col, np.flatnonzero(T[:, pivot_col]))
             basis[r] = pivot_col
             iterations += 1
         if drop_rows:

@@ -350,17 +350,29 @@ def topology_to_dict(topology: NetworkTopology) -> dict:
     }
 
 
-def json_int(value) -> int:
-    """A count or id field of an input JSON document.
+# Field rules of input JSON: int() and float() would truncate 2.5, take "0.25"
+# and true, and overflow on Infinity or a huge integer; these raise TypeError
+# or ValueError, which the from_dict readers report as InconsistentInput. Map
+# keys are strings and go through int().
 
-    It must hold a JSON integer: an int that is not a bool. int() would
-    truncate 2.5 and true and overflow on Infinity; anything but an int
-    raises TypeError here, which the from_dict readers report as
-    InconsistentInput. Map keys are strings and go through int() instead.
-    """
+
+def json_int(value) -> int:
+    """A count or id field: a JSON integer, that is an int that is not a bool."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{value!r} is not a JSON integer")
     return value
+
+
+def json_float(value) -> float:
+    """A real-number field: a JSON int or float, not a bool. NaN and inf pass."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not a JSON number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("integer out of the float range") from None
 
 
 def topology_from_dict(data: Mapping) -> NetworkTopology:
@@ -375,10 +387,10 @@ def topology_from_dict(data: Mapping) -> NetworkTopology:
                 json_int(l["parent"]),
                 json_int(l["child"]),
                 json_int(l["hops"]),
-                float(l.get("phy_rate_gbps", _capacity.DEFAULT_PHY_RATE_GBPS)),
-                capacity_gbps=(None if "capacity_gbps" not in l else float(l["capacity_gbps"])),
-                p_first_max=(None if "p_first_max" not in l else float(l["p_first_max"])),
-                p_last_max=(None if "p_last_max" not in l else float(l["p_last_max"])),
+                json_float(l.get("phy_rate_gbps", _capacity.DEFAULT_PHY_RATE_GBPS)),
+                capacity_gbps=json_float(l["capacity_gbps"]) if "capacity_gbps" in l else None,
+                p_first_max=json_float(l["p_first_max"]) if "p_first_max" in l else None,
+                p_last_max=json_float(l["p_last_max"]) if "p_last_max" in l else None,
             )
             for l in data["links"]
         ]

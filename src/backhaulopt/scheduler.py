@@ -36,7 +36,7 @@ from backhaulopt.errors import (
     NonFiniteInput,
     PlacementFailure,
 )
-from backhaulopt.model import NetworkTopology, json_int
+from backhaulopt.model import NetworkTopology, json_float, json_int
 
 GRID = 10**12
 # Placement may come up short by LP round-off; anything within this many grid
@@ -390,13 +390,13 @@ def schedule_from_dict(data: dict) -> Schedule:
         links = {
             int(lid): LinkSchedule(
                 link_id=int(lid),
-                footprint=[(float(s), float(e)) for s, e in entry["footprint"]],
+                footprint=[(json_float(s), json_float(e)) for s, e in entry["footprint"]],
                 parent_side=[
-                    (json_int(p["chain"]), float(p["start"]), float(p["end"]))
+                    (json_int(p["chain"]), json_float(p["start"]), json_float(p["end"]))
                     for p in entry["parent_side"]
                 ],
                 child_side=[
-                    (json_int(p["chain"]), float(p["start"]), float(p["end"]))
+                    (json_int(p["chain"]), json_float(p["start"]), json_float(p["end"]))
                     for p in entry["child_side"]
                 ],
             )
@@ -404,7 +404,7 @@ def schedule_from_dict(data: dict) -> Schedule:
         }
         chains = {
             (json_int(c["bs"]), json_int(c["chain"])): [
-                (float(s), float(e)) for s, e in c["intervals"]
+                (json_float(s), json_float(e)) for s, e in c["intervals"]
             ]
             for c in data.get("chains", [])
         }

@@ -25,7 +25,8 @@ Violation kinds:
 * MissingLink / UnknownLink: schedule entries absent for a topology link or
   present for a nonexistent one.
 
-Interval totals are compared at 1e-9, rates at 1e-6 Gbps.
+Every comparison is in frame time at TOL_INTERVAL, rates too: a link that
+carries D Gbps at capacity C must run D/C of the frame.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from backhaulopt.model import subtree_bs_set  # noqa: F401 (perfbench wraps it)
 from backhaulopt.scheduler import Schedule
 
 TOL_INTERVAL = 1e-9
-TOL_RATE = 1e-6
 
 Interval = tuple[float, float]
 
@@ -148,8 +148,8 @@ def validate_schedule(
     rate to carry its subtree traffic. p_last, when given, must equal
     p_first * P_l/P_f, with the schedule's first-link time standing in for
     p_first when that is not given; d_b_gbps, an equal demand the schedule
-    claims to serve, must not exceed the realized equal demand. Raises
-    InvalidTopology when the topology is not a valid tree.
+    claims to serve, must fit every link, which carries it once per BS in
+    its subtree. Raises InvalidTopology when the topology is not a valid tree.
     """
     if topology.violations:
         raise InvalidTopology(topology.violations)
@@ -164,6 +164,7 @@ def validate_schedule(
 
     chain_claims: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
     footprints: dict[int, list[Interval]] = {}
+    shares: dict[int, float] = {}  # the frame time each link runs at full rate
 
     for link in topology.links:
         entry = schedule.links.get(link.id)
@@ -255,8 +256,8 @@ def validate_schedule(
                     f"first-link fraction x P_l/P_f {expected:.12g}",
                 )
 
-        rate = min(pf / link.p_first_max, pl / link.p_last_max) * link.capacity_gbps
-        report.realized_rates[link.id] = rate
+        share = shares[link.id] = min(pf / link.p_first_max, pl / link.p_last_max)
+        report.realized_rates[link.id] = share * link.capacity_gbps
 
     for (bs, chain), claims in sorted(chain_claims.items()):
         # a single-hop link's one transmission engages radios at both BSs, so
@@ -287,7 +288,14 @@ def validate_schedule(
             report.realized_rates.get(l.id, 0.0) / len(topology.subtree(l.child))
             for l in topology.links
         )
-    if d_b_gbps is not None and not d_b_gbps <= report.realized_equal_demand + TOL_RATE:
+
+    def short(link, need: float) -> bool:
+        # negated passing test, so a NaN or infinite need is flagged
+        return not shares.get(link.id, 0.0) >= need / link.capacity_gbps - TOL_INTERVAL
+
+    if d_b_gbps is not None and any(
+        short(l, d_b_gbps * len(topology.subtree(l.child))) for l in topology.links
+    ):
         add(
             "CapacityShortfall",
             f"equal demand {d_b_gbps:.9f} Gbps exceeds the realized "
@@ -296,11 +304,9 @@ def validate_schedule(
 
     if demands is not None:
         for link in topology.links:
-            if link.id not in report.realized_rates:
-                continue
             need = float(sum(demands.get(b, 0.0) for b in topology.subtree(link.child)))
-            have = report.realized_rates[link.id]
-            if not have >= need - TOL_RATE:
+            if link.id in shares and short(link, need):
+                have = report.realized_rates[link.id]
                 add(
                     "CapacityShortfall",
                     f"link {link.id} realizes {have:.9f} Gbps of {need:.9f} needed",

@@ -4,12 +4,14 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 
 import pytest
 
 import helpers
 from backhaulopt import cli, errors
+from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
 from backhaulopt.cli import main
 from backhaulopt.errors import BackhaulError, NonPositiveInput
 from backhaulopt.experiment import (
@@ -224,6 +226,59 @@ def test_cli_solve_rejects_hops_that_are_not_a_json_integer(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", str(topo), "--setting", "MI-ER"]) == 3
     assert "not a JSON integer" in capsys.readouterr().err
+
+
+def _set_phy_rate(docs, value):
+    docs["t"]["links"][0]["phy_rate_gbps"] = value
+
+
+def _set_per_bs(docs, value):
+    docs["s"]["per_bs"][next(iter(docs["s"]["per_bs"]))] = value
+
+
+def _set_footprint_end(docs, value):
+    next(iter(docs["f"]["links"].values()))["footprint"][0][1] = value
+
+
+def _set_parent_start(docs, value):
+    next(iter(docs["f"]["links"].values()))["parent_side"][0]["start"] = value
+
+
+@pytest.mark.parametrize("value", ["0.25", False, 10**400], ids=["str", "bool", "big"])
+@pytest.mark.parametrize(
+    "tamper", [_set_phy_rate, _set_per_bs, _set_footprint_end, _set_parent_start]
+)
+def test_cli_validate_rejects_a_number_field_that_is_not_a_json_number(
+    tmp_path, capsys, tamper, value
+):
+    # float() took the string and the bool, and overflowed on the integer
+    paths = {n: tmp_path / f"{n}.json" for n in ("t", "s", "f")}
+    main(["generate", "--seed", "7", "--out", str(paths["t"])])
+    main(["solve", str(paths["t"]), "--setting", "MI-ER", "--out", str(paths["s"])])
+    main(["schedule", str(paths["t"]), str(paths["s"]), "--out", str(paths["f"])])
+    docs = {n: json.loads(p.read_text()) for n, p in paths.items()}
+    tamper(docs, value)
+    for n, p in paths.items():
+        p.write_text(json.dumps(docs[n]))
+    capsys.readouterr()
+    assert main(["validate", *map(str, paths.values())]) == 3
+    captured = capsys.readouterr()
+    assert "schedule OK" not in captured.out
+    assert "error:" in captured.err and "internal error:" not in captured.err
+
+
+def test_cli_validate_passes_its_own_schedule_at_a_high_rate(tmp_path, capsys):
+    # at 2^20 times the paper's rate the scheduler's rounding to 1e-12 of the
+    # frame is about 1e-5 Gbps; a check in Gbps flagged 166 links here
+    topo, sol, sched = (tmp_path / n for n in ("t.json", "s.json", "f.json"))
+    rate = str(math.ldexp(DEFAULT_PHY_RATE_GBPS, 20))
+    main(["generate", "--seed", "1", "--small-bs", "200", "--pairs", "66",
+          "--phy-rate", rate, "--out", str(topo)])
+    main(["solve", str(topo), "--setting", "LI-LR(2)", "--out", str(sol)])
+    main(["schedule", str(topo), str(sol), "--out", str(sched)])
+    capsys.readouterr()
+    assert main(["validate", str(topo), str(sol), str(sched)]) == 0
+    assert "schedule OK" in capsys.readouterr().out
 
 
 def test_cli_validate_reads_p_last_and_d_b(tmp_path, capsys):

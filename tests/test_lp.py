@@ -224,17 +224,18 @@ def test_constraints_view_reads_the_matrix():
     assert lp.matrix[0, 0] == 1.0 and lp.rhs[0] == 4.0
 
 
-def test_first_block_is_taken_over_read_only():
+def test_added_blocks_are_copied():
     block = np.array([[1.0, 1.0], [1.0, -1.0]])
     lp = LinearProgram(2)
     lp.set_objective([1.0, 0.0])
     lp.add_constraints(block, Relation.LE, [4.0, 0.0])
-    with pytest.raises(ValueError):
-        block[0, 0] = 9.0  # the program owns it now
-    view = np.ones((4, 2))[::2]  # does not own its memory, so it is copied
+    assert block.flags.writeable
+    block[0, 0] = 9.0  # the caller's array stays the caller's
+    view = np.ones((4, 2))[::2]
     lp.add_constraints(view, Relation.GE, 0.0)
     view[0, 0] = 9.0
     assert lp.matrix.tolist() == [[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, 1.0]]
+    assert not lp.matrix.flags.writeable and not lp.rhs.flags.writeable
     assert solve(lp).objective_value == 2.0
     fresh = LinearProgram(2)
     rejected = np.array([[1.0, math.nan]])

@@ -103,10 +103,12 @@ def test_one_bad_number_never_validates(files, data):
 
 # values a mutated field may take: wrong types, numbers at the edges of what
 # a float or a radio-chain count can hold, non-finite numbers (json.load
-# accepts Infinity and NaN), and a fraction and a bool where a count belongs
+# accepts Infinity and NaN), a fraction and a bool where a count belongs, and
+# a numeric string, a bool and an integer past the float range where a real
+# number belongs
 WRONG = st.sampled_from(
     [None, "x", [], [1, 2], {}, {"a": 1}, 1e308, -1e308, 2**70,
-     math.inf, -math.inf, math.nan, 0.5, True]
+     math.inf, -math.inf, math.nan, 0.5, True, "0.25", False, 10**400]
 )
 
 

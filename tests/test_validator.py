@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import math
 
 import pytest
@@ -11,9 +12,16 @@ from hypothesis import strategies as st
 import helpers
 import oracles
 from backhaulopt import validator
+from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
 from backhaulopt.errors import AllZeroDemands
-from backhaulopt.formulations import parse_setting, solve_equal_demand
-from backhaulopt.scheduler import Schedule, build_schedule
+from backhaulopt.formulations import Interference, parse_setting, solve_equal_demand
+from backhaulopt.generator import (
+    GeneratorConfig,
+    adapt_topology,
+    generate_topology,
+    strip_interference,
+)
+from backhaulopt.scheduler import Schedule, build_schedule, schedule_to_dict
 from backhaulopt.validator import jain_index, validate_schedule
 
 
@@ -296,6 +304,60 @@ def test_nan_solution_is_flagged():
     p_first, demands = dict.fromkeys(sol.p_first, nan), dict.fromkeys(sol.per_bs, nan)
     report = validate_schedule(topo, sched, p_first=p_first, demands=demands)
     assert {"RatioMismatch", "CapacityShortfall"} <= _kinds(report)
+
+
+def test_shortfall_on_a_slow_link_is_flagged():
+    # one link of about 1e-9 Gbps that runs half the frame its demand needs:
+    # the shortfall is far below 1e-6 Gbps, but half a frame is not
+    topo = helpers.star(1, hop=1, rate=1e-9)
+    sol = solve_equal_demand(topo, parse_setting("MI-ER")[0])
+    sched = build_schedule(topo, {1: sol.p_first[1] / 2})
+    assert validate_schedule(topo, sched).ok
+    report = validate_schedule(topo, sched, demands=sol.per_bs, d_b_gbps=sol.d_b_gbps)
+    assert _kinds(report) == {"CapacityShortfall"}
+    assert len(report.violations) == 2
+
+
+def test_equal_demand_verdicts_do_not_depend_on_the_unit_of_rate():
+    # the closed form and the scheduler work in frame time, so scaling the
+    # rate by 2^k scales d_b and the realized demand exactly, keeps the
+    # schedule bytes and must keep the verdict
+    failed, cases = [], 0
+    for setting_name, n in itertools.product(("MI-ER", "LI-ER", "LI-LR(2)"), (20, 200)):
+        setting, macro_chains = parse_setting(setting_name)
+        seen = {}
+        for k in range(-30, 31):
+            topo = generate_topology(
+                GeneratorConfig(
+                    seed=1,
+                    num_small_bs=n,
+                    interference_pair_budget=n // 3,
+                    phy_rate_gbps=math.ldexp(DEFAULT_PHY_RATE_GBPS, k),
+                )
+            )
+            if setting.interference is Interference.MINIMAL:
+                topo = strip_interference(topo)
+            if macro_chains is not None:
+                topo = adapt_topology(topo, setting, macro_chains=macro_chains)
+            sol = solve_equal_demand(topo, setting)
+            sched = build_schedule(topo, sol.p_first)
+            report = validate_schedule(
+                topo, sched, p_first=sol.p_first, demands=sol.per_bs, d_b_gbps=sol.d_b_gbps
+            )
+            got = {
+                "d_b": float.hex(math.ldexp(sol.d_b_gbps, -k)),
+                "realized": float.hex(math.ldexp(report.realized_equal_demand, -k)),
+                "schedule": json.dumps(schedule_to_dict(sched), sort_keys=True),
+                "ok": report.ok,
+            }
+            if not seen:  # the first case is the reference, and every case passes
+                seen = {**got, "ok": True}
+            moved = sorted(key for key in got if got[key] != seen[key])
+            cases += 1
+            if moved:
+                failed.append((setting_name, n, k, moved))
+    assert cases == 366
+    assert not failed, f"{len(failed)} of {cases} cases moved: {failed[:5]}"
 
 
 def test_jain_index_values():

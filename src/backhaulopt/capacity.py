@@ -9,6 +9,7 @@ the first and last physical links within the link's own schedule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,7 @@ class LinkCapacityProfile:
     p_last_max: float
 
 
+@functools.lru_cache(typed=True)
 def link_profile(hop_count: int, phy_rate_gbps: float) -> LinkCapacityProfile:
     """Capacity profile for a logical link with the given hop count.
 
@@ -62,6 +64,10 @@ def link_profile(hop_count: int, phy_rate_gbps: float) -> LinkCapacityProfile:
     the alternating relay schedule halves the end-to-end rate and each
     endpoint physical link is active during half of the link's schedule,
     independent of the exact hop count.
+
+    Memoized: the profile is frozen, so links share it. The cache tells
+    argument types apart, so 1.0 hops never meets the entry of 1 hop and
+    still fails the check; a call that raises caches nothing.
     """
     if not isinstance(hop_count, int) or hop_count < 1:
         raise InvalidHopCount(f"hop_count must be a positive integer, got {hop_count!r}")

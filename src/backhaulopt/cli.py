@@ -8,6 +8,7 @@ errors, and any internal error (printed with its traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -199,9 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process, on the first call of main."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Infeasible as exc:

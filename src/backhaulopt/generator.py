@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
 from backhaulopt.errors import InconsistentInput, InfeasibleConfig, NonPositiveInput
@@ -192,5 +192,5 @@ def adapt_topology(
             count = macro_chains
         else:
             count = 1
-        stations.append(replace(s, radio_chains=max(1, count)))
+        stations.append(BaseStation(s.id, s.kind, max(1, count)))
     return NetworkTopology(stations, topology.links, topology.interference_pairs)

@@ -21,14 +21,14 @@ MACRO = "macro"
 SMALL = "small"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaseStation:
     id: int
     kind: str  # MACRO or SMALL
     radio_chains: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogicalLink:
     """Inbound logical link of base station `child` (id == child).
 
@@ -70,22 +70,20 @@ def make_link(
 ) -> LogicalLink:
     """Build a link, deriving the capacity profile unless overridden."""
     profile = _capacity.link_profile(hop_count, phy_rate_gbps)
-    for name, value in (
-        ("capacity_gbps", capacity_gbps),
-        ("p_first_max", p_first_max),
-        ("p_last_max", p_last_max),
-    ):
-        if value is not None and not math.isfinite(value):
-            raise NonFiniteInput(f"link {link_id} {name} must be finite, got {value}")
+    overrides = (capacity_gbps, p_first_max, p_last_max)
+    if overrides != (None, None, None):
+        for name, value in zip(("capacity_gbps", "p_first_max", "p_last_max"), overrides):
+            if value is not None and not math.isfinite(value):
+                raise NonFiniteInput(f"link {link_id} {name} must be finite, got {value}")
     return LogicalLink(
-        id=link_id,
-        parent=parent,
-        child=child,
-        hop_count=hop_count,
-        phy_rate_gbps=phy_rate_gbps,
-        capacity_gbps=profile.capacity_gbps if capacity_gbps is None else capacity_gbps,
-        p_first_max=profile.p_first_max if p_first_max is None else p_first_max,
-        p_last_max=profile.p_last_max if p_last_max is None else p_last_max,
+        link_id,
+        parent,
+        child,
+        hop_count,
+        phy_rate_gbps,
+        profile.capacity_gbps if capacity_gbps is None else capacity_gbps,
+        profile.p_first_max if p_first_max is None else p_first_max,
+        profile.p_last_max if p_last_max is None else p_last_max,
     )
 
 

@@ -32,6 +32,7 @@ carries D Gbps at capacity C must run D/C of the frame.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from backhaulopt.errors import AllZeroDemands, InvalidTopology
@@ -59,9 +60,6 @@ def _merge(intervals: list[Interval]) -> list[Interval]:
     """Sorted disjoint union; adjacent pieces join, empty and reversed ones
     drop out, and a NaN piece stays. It has fewer pieces than the input
     exactly when some piece was dropped or joined."""
-    if len(intervals) == 1:
-        s, e = intervals[0]
-        return [] if e <= s else [(s, e)]
     out: list[Interval] = []
     for s, e in sorted(intervals):
         if e <= s:
@@ -133,6 +131,22 @@ def _bad_geometry(intervals: list[Interval]) -> bool:
     return False
 
 
+def _measure(intervals: list[Interval]) -> tuple[list[Interval], float, float, bool]:
+    """One interval list's merged pieces, their total, the total of the pieces
+    as given, and its _bad_geometry verdict. The raw total is summed only
+    when the merge dropped or joined a piece; otherwise it is the merged one."""
+    if not intervals:
+        return [], 0.0, 0.0, False
+    bad = _bad_geometry(intervals)
+    if len(intervals) == 1:
+        ((s, e),) = intervals
+        length = (e - s) + 0.0
+        return ([], 0.0, length, bad) if e <= s else ([(s, e)], length, length, bad)
+    merged = _merge(intervals)
+    total = _total(merged)
+    return merged, total, (_total(intervals) if len(merged) < len(intervals) else total), bad
+
+
 def validate_schedule(
     topology: NetworkTopology,
     schedule: Schedule,
@@ -162,9 +176,10 @@ def validate_schedule(
         if not topology.has_link(lid):
             add("UnknownLink", f"schedule covers link {lid} which the topology lacks")
 
-    chain_claims: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
+    chain_claims: dict[tuple[int, int], list[tuple[float, float, int]]] = defaultdict(list)
     footprints: dict[int, list[Interval]] = {}
     shares: dict[int, float] = {}  # the frame time each link runs at full rate
+    radio_chains = {s.id: s.radio_chains for s in topology.stations}
 
     for link in topology.links:
         entry = schedule.links.get(link.id)
@@ -172,14 +187,11 @@ def validate_schedule(
             add("MissingLink", f"no schedule entry for link {link.id}")
             continue
 
-        footprint = footprints[link.id] = _merge(entry.footprint)
-        footprint_total = _total(footprint)
-        if _bad_geometry(entry.footprint):
+        footprint, footprint_total, raw_total, bad = _measure(entry.footprint)
+        footprints[link.id] = footprint
+        if bad:
             add("FootprintMismatch", f"link {link.id} footprint leaves the frame")
-        # each total is taken once: a merge that dropped and joined no piece
-        # kept the total, so the raw and merged totals differ only after one
-        reshaped = len(footprint) < len(entry.footprint)
-        if reshaped and _total(entry.footprint) - footprint_total > TOL_INTERVAL:
+        if raw_total - footprint_total > TOL_INTERVAL:
             add("FootprintMismatch", f"link {link.id} footprint intervals overlap")
 
         merged = []  # each side's times, merged once
@@ -189,28 +201,27 @@ def validate_schedule(
             ("first link", entry.parent_side, link.parent),
             ("last link", entry.child_side, link.child),
         ):
-            station = topology.station(bs)
+            chains = radio_chains[bs]
             for chain, s, e in pieces:
-                if not 0 <= chain < station.radio_chains:
+                if not 0 <= chain < chains:
                     add(
                         "ChainOverlap",
                         f"link {link.id} {label} uses chain {chain} at B{bs} "
-                        f"which has {station.radio_chains} radio chains",
+                        f"which has {chains} radio chains",
                     )
-                chain_claims.setdefault((bs, chain), []).append((s, e, link.id))
-            times = [(s, e) for _, s, e in pieces]
-            merged.append(_merge(times))
-            merged_total = _total(merged[-1])
-            active.append(_total(times) if len(merged[-1]) < len(times) else merged_total)
-            if _bad_geometry(times):
+                chain_claims[bs, chain].append((s, e, link.id))
+            side, merged_total, raw_total, bad = _measure([(s, e) for _, s, e in pieces])
+            merged.append(side)
+            active.append(raw_total)
+            if bad:
                 add("ActiveOutsideFootprint", f"link {link.id} {label} leaves the frame")
-            uncovered = merged_total - _overlap(merged[-1], footprint)
+            uncovered = merged_total - _overlap(side, footprint)
             if uncovered > TOL_INTERVAL:
                 add(
                     "ActiveOutsideFootprint",
                     f"link {link.id} {label} transmits {uncovered:.3e} outside its footprint",
                 )
-            if active[-1] - merged_total > TOL_INTERVAL:
+            if raw_total - merged_total > TOL_INTERVAL:
                 add(
                     "ChainOverlap",
                     f"link {link.id} {label} transmits on two chains at once",
@@ -263,6 +274,8 @@ def validate_schedule(
         # a single-hop link's one transmission engages radios at both BSs, so
         # its parent and child claims land at different stations and never
         # collide here; distinct links sharing a chain must take turns
+        if len(claims) == 1:
+            continue  # one transmission cannot collide with itself
         times = [(s, e) for s, e, _ in claims]
         union = _merge(times)
         spare = _total(times) - _total(union) if len(union) < len(times) else 0.0
@@ -282,11 +295,13 @@ def validate_schedule(
                 f"interfering links {a} and {b} overlap by {cross:.3e}",
             )
 
+    # each link's subtree is a slice of the whole tree's preorder
+    spans = [topology.subtree_slice(l.child) for l in topology.links]
     if report.realized_rates:
         # links without a schedule entry carry nothing
         report.realized_equal_demand = min(
-            report.realized_rates.get(l.id, 0.0) / len(topology.subtree(l.child))
-            for l in topology.links
+            report.realized_rates.get(l.id, 0.0) / (span.stop - span.start)
+            for l, span in zip(topology.links, spans)
         )
 
     def short(link, need: float) -> bool:
@@ -294,7 +309,7 @@ def validate_schedule(
         return not shares.get(link.id, 0.0) >= need / link.capacity_gbps - TOL_INTERVAL
 
     if d_b_gbps is not None and any(
-        short(l, d_b_gbps * len(topology.subtree(l.child))) for l in topology.links
+        short(l, d_b_gbps * (span.stop - span.start)) for l, span in zip(topology.links, spans)
     ):
         add(
             "CapacityShortfall",
@@ -303,8 +318,10 @@ def validate_schedule(
         )
 
     if demands is not None:
-        for link in topology.links:
-            need = float(sum(demands.get(b, 0.0) for b in topology.subtree(link.child)))
+        # summed in each subtree's preorder, as the slices of one list
+        per_bs = [demands.get(b, 0.0) for b in topology.subtree(topology.macro.id)]
+        for link, span in zip(topology.links, spans):
+            need = float(sum(per_bs[span]))
             if link.id in shares and short(link, need):
                 have = report.realized_rates[link.id]
                 add(

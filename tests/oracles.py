@@ -3,7 +3,8 @@
 Everything here is closed-form arithmetic, brute-force enumeration over
 basic solutions, a plain Bland-rule pivot loop, a full-rescan replay of the
 topology generator, the demand LP built one Python-list row at a time, or
-interval lists merged again from scratch and summed with math.fsum; nothing
+interval lists merged again from scratch and summed with math.fsum, or
+measured by the validator's three separate interval passes; nothing
 calls the package's simplex solver, LP builders, generator, scheduler or
 validator. Agreement between these references and the package is therefore
 a two-route check, not a tautology.
@@ -15,6 +16,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -122,10 +124,11 @@ def reference_demand_lp(topology, setting, demand_names, demand_cols, floors=Non
     """The demand LP formulations' builder must produce, and its carried counts.
 
     This is the builder's slow route: every row starts as a [0.0] * num_vars
-    list and goes in through add_constraint, in the builder's row order
-    (links, then interference pairs under LI, then each BS with a nonzero
-    row under LR). Returns (lp, carried), carried mapping each link id to
-    {demand column: subtree BSs on it} in the subtree's preorder.
+    list of its own, in the builder's row order (links, then interference
+    pairs under LI, then each BS with a nonzero row under LR), and the rows
+    go in together through one add_constraints call. Returns (lp, carried),
+    carried mapping each link id to {demand column: subtree BSs on it} in
+    the subtree's preorder.
     """
     with_p = (
         setting.interference is Interference.LIMITED
@@ -144,6 +147,13 @@ def reference_demand_lp(topology, setting, demand_names, demand_cols, floors=Non
     lp.set_objective(obj)
 
     carried = {}
+    rows, relations, rhs = [], [], []
+
+    def add(row, relation, b):
+        rows.append(row)
+        relations.append(relation)
+        rhs.append(b)
+
     for link in topology.links:
         counts = carried[link.id] = Counter(demand_cols[b] for b in topology.subtree(link.child))
         row = [0.0] * lp.num_vars
@@ -151,9 +161,9 @@ def reference_demand_lp(topology, setting, demand_names, demand_cols, floors=Non
             row[col] = -float(count)
         if with_p:
             row[p_cols[link.id]] = link.capacity_gbps / link.p_first_max
-            lp.add_constraint(row, Relation.GE, 0.0)
+            add(row, Relation.GE, 0.0)
         else:
-            lp.add_constraint(row, Relation.GE, -link.capacity_gbps)
+            add(row, Relation.GE, -link.capacity_gbps)
     if with_p:
         for link in topology.links:
             lp.set_bounds(p_cols[link.id], 0.0, link.p_first_max)
@@ -162,7 +172,7 @@ def reference_demand_lp(topology, setting, demand_names, demand_cols, floors=Non
                 row = [0.0] * lp.num_vars
                 row[p_cols[a]] = 1.0 / topology.link(a).p_first_max
                 row[p_cols[b]] = 1.0 / topology.link(b).p_first_max
-                lp.add_constraint(row, Relation.LE, 1.0)
+                add(row, Relation.LE, 1.0)
         if setting.radio_chains is RadioChains.LIMITED:
             for s in topology.stations:
                 row = [0.0] * lp.num_vars
@@ -172,7 +182,9 @@ def reference_demand_lp(topology, setting, demand_names, demand_cols, floors=Non
                 for child in topology.child_links(s.id):
                     row[p_cols[child.id]] += 1.0
                 if any(row):
-                    lp.add_constraint(row, Relation.LE, float(s.radio_chains))
+                    add(row, Relation.LE, float(s.radio_chains))
+    if rows:
+        lp.add_constraints(rows, relations, rhs)
     for b, floor in (floors or {}).items():
         if floor > 0.0:
             lp.set_bounds(demand_cols[b], floor, math.inf)
@@ -448,3 +460,54 @@ def interval_overlap(a, b):
         for bs, be in b
         if max(as_, bs) < min(ae, be)
     )
+
+
+# -- the validator's interval helpers as three separate passes ----------------
+# validator._measure answers all three in one pass; these are the helpers it
+# replaced, kept verbatim as its reference.
+
+
+def validator_merge(intervals):
+    """Sorted disjoint union; adjacent pieces join, empty and reversed ones
+    drop out, and a NaN piece stays."""
+    if len(intervals) == 1:
+        s, e = intervals[0]
+        return [] if e <= s else [(s, e)]
+    out = []
+    for s, e in sorted(intervals):
+        if e <= s:
+            continue
+        if out and s <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], e))
+        else:
+            out.append((s, e))
+    return out
+
+
+def validator_total(intervals):
+    """Summed length as math.fsum rounds it; where fsum raises, the IEEE sum
+    of the infinite lengths, or the exact sum of the finite ones rounded."""
+    if len(intervals) == 1:
+        s, e = intervals[0]
+        return (e - s) + 0.0
+    lengths = [e - s for s, e in intervals]
+    try:
+        return math.fsum(lengths)
+    except (OverflowError, ValueError):
+        pass
+    infinite = [x for x in lengths if not math.isfinite(x)]
+    if infinite:
+        return sum(infinite)
+    exact = sum(map(Fraction, lengths))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def validator_bad_geometry(intervals, tol=1e-9):
+    """Whether some interval is reversed, leaves the frame or is not a number."""
+    for s, e in intervals:
+        if not (-tol <= s and s - tol <= e <= 1.0 + tol):
+            return True
+    return False

@@ -1,5 +1,8 @@
 """Rate constant and per-link capacity profiles."""
 
+import math
+import pickle
+
 import pytest
 
 from backhaulopt.capacity import (
@@ -8,7 +11,8 @@ from backhaulopt.capacity import (
     link_profile,
     physical_rate,
 )
-from backhaulopt.errors import InvalidHopCount, NonPositiveInput
+from backhaulopt.errors import InvalidHopCount, NonFiniteInput, NonPositiveInput
+from backhaulopt.model import BaseStation, make_link
 
 
 def test_reference_rate_lands_in_published_band():
@@ -52,3 +56,27 @@ def test_rejects_bad_hop_counts():
         link_profile(-2, 13.3)
     with pytest.raises(InvalidHopCount):
         link_profile(1.5, 13.3)
+
+
+def test_memoized_profiles_still_check_every_call():
+    # the cache tells 1 from 1.0 and caches no call that raises
+    rate = 13.3
+    assert link_profile(1, rate) is link_profile(1, rate)
+    with pytest.raises(InvalidHopCount):
+        link_profile(1.0, rate)
+    for _ in range(2):
+        with pytest.raises(NonFiniteInput):
+            link_profile(1, math.nan)
+    for name in ("capacity_gbps", "p_first_max", "p_last_max"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteInput):
+                make_link(1, 0, 1, 2, rate, **{name: value})
+    link = make_link(1, 0, 1, 2, rate, p_last_max=0.25)
+    assert (link.capacity_gbps, link.p_first_max, link.p_last_max) == (6.65, 0.5, 0.25)
+
+
+def test_slotted_model_types_pickle():
+    # BaseStation and LogicalLink are frozen slotted dataclasses
+    for value in (BaseStation(3, "small", 2), make_link(3, 1, 3, 2)):
+        assert not hasattr(value, "__dict__")
+        assert pickle.loads(pickle.dumps(value)) == value

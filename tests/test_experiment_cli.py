@@ -570,3 +570,68 @@ def test_cli_solve_respects_file_chain_counts(tmp_path):
     d_plain = json.loads(plain.read_text())["d_b_gbps"]
     d_pinned = json.loads(pinned.read_text())["d_b_gbps"]
     assert d_plain >= d_pinned - 1e-12
+
+
+def _validate_cases(root):
+    """Triples written by generate, solve and schedule: n in {5, 20, 200}, MI-ER
+    and LI-LR(2), every objective; each schedule as written, with a partner's
+    footprint copied in, and with one parent-side chain index out of range."""
+    for n in (5, 20, 200):
+        size = ["--seed", "1", "--small-bs", str(n), "--macro-degree", str(min(n - 1, 8))]
+        topologies = {"MI": root / f"MI{n}.json", "LI": root / f"LI{n}.json"}
+        assert main(["generate", *size, "--out", str(topologies["MI"])]) == 0
+        assert main(["generate", *size, "--pairs", str(n // 3), "--out", str(topologies["LI"])]) == 0
+        a, b = (str(x) for x in json.loads(topologies["LI"].read_text())["interference"][0])
+        for setting in ("MI-ER", "LI-LR(2)"):
+            topo = topologies[setting[:2]]
+            for objective in ("equal_demand", "aggregate", "aggregate_fair"):
+                sol = root / f"{n}-{setting}-{objective}.solution.json"
+                sched = root / f"{n}-{setting}-{objective}.schedule.json"
+                assert main(["solve", str(topo), "--setting", setting,
+                             "--objective", objective, "--out", str(sol)]) == 0
+                assert main(["schedule", str(topo), str(sol), "--out", str(sched)]) == 0
+                clean = json.loads(sched.read_text())
+                tampered = copy.deepcopy(clean)
+                tampered["links"][b]["footprint"] = copy.deepcopy(clean["links"][a]["footprint"])
+                bad_chain = copy.deepcopy(clean)
+                first = next(e for e in bad_chain["links"].values() if e["parent_side"])
+                first["parent_side"][0]["chain"] = 99
+                for name, data in (("clean", clean), ("tampered", tampered),
+                                   ("bad-chain", bad_chain)):
+                    path = root / f"{n}-{setting}-{objective}.{name}.json"
+                    path.write_text(json.dumps(data))
+                    yield ["validate", str(topo), str(sol), str(path)]
+
+
+def test_cli_validate_output_frozen(tmp_path, capsys):
+    # exit code and stdout of every validate, byte for byte: the loaders and
+    # the validator together
+    digest = hashlib.sha256()
+    for argv in _validate_cases(tmp_path):
+        capsys.readouterr()
+        code = main(argv)
+        digest.update(f"{code}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "92940a5dd7f94e50fcde0411cfb5b11f6a14b46c874bd786c74d5d5907cbe0cc"
+    )
+
+
+def test_cli_reuses_its_parser_across_calls(tmp_path, capsys):
+    topo, sol, sched = (tmp_path / n for n in ("t.json", "s.json", "f.json"))
+    main(["generate", "--seed", "4", "--pairs", "2", "--out", str(topo)])
+    main(["solve", str(topo), "--setting", "LI-LR(2)", "--out", str(sol)])
+    main(["schedule", str(topo), str(sol), "--out", str(sched)])
+    argv = ["validate", str(topo), str(sol), str(sched)]
+    capsys.readouterr()
+    first = main(argv), capsys.readouterr()
+    with pytest.raises(SystemExit) as usage:
+        main(["validate", str(topo)])
+    assert usage.value.code == 3
+    with pytest.raises(SystemExit) as shown:
+        main(["--help"])
+    assert shown.value.code == 0
+    capsys.readouterr()
+    assert (main(argv), capsys.readouterr()) == first
+    assert first[0] == 0
+    assert cli.build_parser() is not cli.build_parser()

@@ -296,6 +296,23 @@ def test_total_past_fsum_rounds_the_exact_sum():
     assert math.isnan(validator._total([(-1e308, 1e308), (1e308, -1e308)]))
 
 
+# frame-sized endpoints, so pieces overlap, touch and reverse, mixed with
+# NaN, signed zeros, infinities and huge values
+ENDPOINTS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, -0.5, 1.5]) | st.floats(-0.5, 1.5) | FLOATS
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(intervals=st.lists(st.tuples(ENDPOINTS, ENDPOINTS), max_size=6))
+def test_measure_matches_the_separate_passes(intervals):
+    merged, total, raw, bad = validator._measure(intervals)
+    want = oracles.validator_merge(intervals)
+    assert _same(merged, want)
+    assert _same(total, oracles.validator_total(want))
+    # a merge that dropped and joined nothing only reordered the pieces
+    assert _same(raw, oracles.validator_total(intervals))
+    assert bad == oracles.validator_bad_geometry(intervals)
+
+
 def test_nan_solution_is_flagged():
     # a NaN p_first or demand must fail its check, not slip past a `>` test
     topo = helpers.chain(hops=(2, 1))

@@ -27,7 +27,7 @@ from backhaulopt.formulations import (
 from backhaulopt.generator import GeneratorConfig, adapt_topology, generate_topology
 from backhaulopt.model import load_topology, topology_to_dict
 from backhaulopt.scheduler import build_schedule, schedule_from_dict, schedule_to_dict
-from backhaulopt.validator import validate_schedule
+from backhaulopt.validator import derived_field_violations, validate_schedule
 
 SEED_ENV = "BACKHAUL_OPT_SEED"
 
@@ -106,7 +106,8 @@ def cmd_schedule(args) -> int:
 
 def cmd_validate(args) -> int:
     topology = load_topology(args.topology)
-    solution = solution_from_dict(_load_json(args.solution))
+    data = _load_json(args.solution)
+    solution = solution_from_dict(data)
     schedule = schedule_from_dict(_load_json(args.schedule))
     report = validate_schedule(
         topology,
@@ -116,6 +117,7 @@ def cmd_validate(args) -> int:
         p_last=solution.p_last,
         d_b_gbps=solution.d_b_gbps,
     )
+    report.violations += derived_field_violations(topology, solution, data)
     for violation in report.violations:
         print(violation)
     print(f"realized equal demand: {report.realized_equal_demand:.9f} Gbps")

@@ -18,6 +18,10 @@ columns: its fractions follow from the demands alone.
 The aggregate objectives are solved by the simplex. The equal-demand
 optimum has a closed form, which solve_equal_demand computes directly;
 build_equal_demand_lp still builds its LP, the route tests check it against.
+
+NumPy and backhaulopt.lp load with the first LP built or solved, not with
+this module, so a process that never runs an LP (generate, the default
+solve, schedule, validate) never imports them.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from backhaulopt import model as _model
 from backhaulopt.errors import (
@@ -40,8 +43,10 @@ from backhaulopt.errors import (
     NonFiniteInput,
     SolverFailure,
 )
-from backhaulopt.lp import LinearProgram, LpStatus, Relation, solve
 from backhaulopt.model import NetworkTopology, subtree_bs_set  # noqa: F401 (perfbench wraps it)
+
+if TYPE_CHECKING:
+    from backhaulopt.lp import LinearProgram, LpSolution
 
 
 class Interference(enum.Enum):
@@ -161,6 +166,10 @@ def _build_demand_lp(
     no link is both a BS's inbound link and one of its child links, so
     every cell is written once.
     """
+    import numpy as np  # here, not at module load: see the module docstring
+
+    from backhaulopt.lp import LinearProgram, Relation
+
     _check_topology(topology, setting)
     limited = setting.interference is Interference.LIMITED
     links = topology.links
@@ -315,6 +324,18 @@ def solve_equal_demand(topology: NetworkTopology, setting: Setting) -> DemandSol
     )
 
 
+def solve(lp: LinearProgram, kernel=None) -> LpSolution:
+    """backhaulopt.lp.simplex.solve, imported on the first call.
+
+    Every LP this module solves goes through this name: perfbench/tracing.py
+    wraps formulations.solve as the lp.solve boundary, and passes kernel=
+    (its per-phase pivot hook) only while this signature has that parameter.
+    """
+    from backhaulopt.lp import simplex
+
+    return simplex.solve(lp, kernel)
+
+
 def solve_aggregate(
     topology: NetworkTopology,
     setting: Setting,
@@ -344,6 +365,8 @@ def solve_aggregate(
             if floor_val < 0.0:
                 raise InconsistentInput(f"fair floor {floor_val} is negative")
         floors = {b: floor_val for b in topology.small_bs_ids()}
+    from backhaulopt.lp import LpStatus
+
     lp, demand_cols = build_aggregate_lp(topology, setting, floors)
     sol = solve(lp)
     if sol.status is LpStatus.INFEASIBLE:

@@ -24,9 +24,12 @@ Violation kinds:
   through it, or the schedule realizes less equal demand than claimed.
 * MissingLink / UnknownLink: schedule entries absent for a topology link or
   present for a nonexistent one.
+* DerivedFieldMismatch: a solution file's aggregate_gbps, jain_index or
+  min_radio_chains disagrees with the value recomputed from its per_bs and
+  p_first (derived_field_violations; `backhaulopt validate` runs it).
 
-Every comparison is in frame time at TOL_INTERVAL, rates too: a link that
-carries D Gbps at capacity C must run D/C of the frame.
+Every comparison of the schedule is in frame time at TOL_INTERVAL, rates
+too: a link that carries D Gbps at capacity C must run D/C of the frame.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from backhaulopt.errors import AllZeroDemands, InvalidTopology
-from backhaulopt.model import NetworkTopology, Violation
+from backhaulopt.errors import AllZeroDemands, InconsistentInput, InvalidTopology
+from backhaulopt.formulations import DemandSolution, min_radio_chains
+from backhaulopt.model import NetworkTopology, Violation, json_float, json_int
 from backhaulopt.model import subtree_bs_set  # noqa: F401 (perfbench wraps it)
 from backhaulopt.scheduler import Schedule
 
@@ -346,3 +350,53 @@ def jain_index(values) -> float:
     num = math.fsum(scaled) ** 2
     den = len(scaled) * math.fsum(v * v for v in scaled)
     return num / den
+
+
+def derived_field_violations(
+    topology: NetworkTopology, solution: DemandSolution, data: dict
+) -> list[Violation]:
+    """Check the derived fields of a solution file against its own numbers.
+
+    data is the solution JSON that solution was read from. Each of
+    aggregate_gbps, jain_index and min_radio_chains that data carries is a
+    claim, recomputed by the rule that wrote it: the sum of per_bs,
+    jain_index of per_bs, and min_radio_chains of p_first, where a missing
+    p_first entry reads 0 as in validate_schedule. The aggregate may differ
+    from the claim by TOL_INTERVAL relative, since a file's per_bs order
+    need not be the writer's summation order; Jain's index is compared at
+    the same tolerance, and the chain counts exactly, every BS key
+    included. An absent field is no claim. A field of the wrong type
+    raises InconsistentInput.
+    """
+    try:
+        claims = {n: json_float(data[n]) for n in ("aggregate_gbps", "jain_index") if n in data}
+        chains = None
+        if "min_radio_chains" in data:
+            chains = data["min_radio_chains"]
+            if not isinstance(chains, dict):
+                raise TypeError(f"min_radio_chains {chains!r} is not an object")
+            chains = {int(b): json_int(v) for b, v in chains.items()}
+    except (TypeError, ValueError) as exc:
+        raise InconsistentInput(f"solution JSON does not match schema: {exc}") from exc
+
+    found = []
+    for name, claim in claims.items():
+        if name == "aggregate_gbps":
+            value = solution.aggregate_gbps
+        else:
+            try:
+                value = jain_index(solution.per_bs)
+            except AllZeroDemands:
+                value = math.nan  # no Jain index exists, so no claim of one holds
+        if not math.isclose(claim, value, rel_tol=TOL_INTERVAL):
+            found.append(Violation(
+                "DerivedFieldMismatch", f"{name} claims {claim:.12g} but is {value:.12g}"))
+    if chains is not None:
+        p_first = {l.id: solution.p_first.get(l.id, 0.0) for l in topology.links}
+        needed = min_radio_chains(topology, p_first)
+        for b in sorted(needed.keys() | chains.keys()):
+            claim, value = chains.get(b, "nothing"), needed.get(b, "nothing")
+            if claim != value:
+                found.append(Violation(
+                    "DerivedFieldMismatch", f"min_radio_chains[B{b}] claims {claim} but is {value}"))
+    return found

@@ -267,6 +267,82 @@ def test_cli_validate_rejects_a_number_field_that_is_not_a_json_number(
     assert "error:" in captured.err and "internal error:" not in captured.err
 
 
+def _seed7_triple(tmp_path):
+    paths = {n: tmp_path / f"{n}.json" for n in ("t", "s", "f")}
+    main(["generate", "--seed", "7", "--out", str(paths["t"])])
+    main(["solve", str(paths["t"]), "--setting", "MI-ER", "--out", str(paths["s"])])
+    main(["schedule", str(paths["t"]), str(paths["s"]), "--out", str(paths["f"])])
+    return paths
+
+
+def _validate_solution(paths, solution, capsys):
+    paths["s"].write_text(json.dumps(solution))
+    capsys.readouterr()
+    code = main(["validate", *map(str, paths.values())])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "field, claim",
+    [
+        ("aggregate_gbps", 1e6),
+        ("jain_index", 7.0),
+        ("min_radio_chains", -4),
+        ("min_radio_chains", "missing"),
+        ("min_radio_chains", "extra"),
+    ],
+)
+def test_cli_validate_checks_the_derived_fields(tmp_path, capsys, field, claim):
+    # each of these validated as "schedule OK" while validate ignored them
+    paths = _seed7_triple(tmp_path)
+    clean = json.loads(paths["s"].read_text())
+    data = copy.deepcopy(clean)
+    chains = data["min_radio_chains"]
+    if claim == "missing":
+        del chains[next(iter(chains))]
+    elif claim == "extra":
+        chains["999"] = 1
+    elif field == "min_radio_chains":
+        data[field] = dict.fromkeys(chains, claim)
+    else:
+        data[field] = claim
+    code, out = _validate_solution(paths, data, capsys)
+    assert code == 1
+    assert "schedule OK" not in out.out
+    assert f"DerivedFieldMismatch({field}" in out.out
+    if claim == 1e6:
+        assert f"claims 1000000 but is {clean[field]:.12g}" in out.out
+
+
+def test_cli_validate_allows_absent_derived_fields_and_any_key_order(tmp_path, capsys):
+    paths = _seed7_triple(tmp_path)
+    clean = json.loads(paths["s"].read_text())
+    without = {k: v for k, v in clean.items()
+               if k not in ("aggregate_gbps", "jain_index", "min_radio_chains")}
+    reordered = {**clean, "per_bs": dict(reversed(clean["per_bs"].items())),
+                 "min_radio_chains": dict(reversed(clean["min_radio_chains"].items()))}
+    for solution in (without, reordered):
+        code, out = _validate_solution(paths, solution, capsys)
+        assert code == 0 and "schedule OK" in out.out
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("aggregate_gbps", "26.5"), ("jain_index", None), ("min_radio_chains", [1, 2]),
+     ("min_radio_chains", {"x": 1}), ("min_radio_chains", 1.0)],
+)
+def test_cli_validate_rejects_a_derived_field_of_the_wrong_type(tmp_path, capsys, field, value):
+    paths = _seed7_triple(tmp_path)
+    data = json.loads(paths["s"].read_text())
+    if field == "min_radio_chains" and value == 1.0:
+        data[field][next(iter(data[field]))] = value  # a count that is not a JSON integer
+    else:
+        data[field] = value
+    code, out = _validate_solution(paths, data, capsys)
+    assert code == 3
+    assert "error:" in out.err and "internal error:" not in out.err
+
+
 def test_cli_validate_passes_its_own_schedule_at_a_high_rate(tmp_path, capsys):
     # at 2^20 times the paper's rate the scheduler's rounding to 1e-12 of the
     # frame is about 1e-5 Gbps; a check in Gbps flagged 166 links here

@@ -2,12 +2,14 @@
 
 import copy
 import hashlib
+import inspect
 import random
 
 import pytest
 
 import helpers
 import oracles
+from backhaulopt import formulations
 from backhaulopt.errors import (
     InconsistentInput,
     InfeasibleFloor,
@@ -38,7 +40,7 @@ from backhaulopt.generator import (
     generate_topology,
     strip_interference,
 )
-from backhaulopt.lp import LpStatus, solve
+from backhaulopt.lp import LpStatus, _kernel_py, simplex, solve
 from backhaulopt.model import NetworkTopology, make_link
 
 MI_ER = Setting(Interference.MINIMAL, RadioChains.ENOUGH)
@@ -504,3 +506,28 @@ def test_saturated_fraction_is_clamped_to_the_duty_limit():
     assert sol.d_b_gbps == 3.1 / 3
     assert sol.p_first[1] == 1.0
     assert sol.p_last[1] == 1.0
+
+
+def test_formulations_solve_passes_its_kernel_to_the_simplex():
+    # the benchmark's tracer wraps formulations.solve and hands it a kernel
+    # that times each phase, but only while this parameter exists
+    assert "kernel" in inspect.signature(formulations.solve).parameters
+    topo = generate_topology(GeneratorConfig(seed=4, interference_pair_budget=2))
+    topo = adapt_topology(topo, LI_LR, macro_chains=2)
+    floor = solve_equal_demand(topo, LI_LR).d_b_gbps
+    lp, _ = build_aggregate_lp(topo, LI_LR, dict.fromkeys(topo.small_bs_ids(), floor))
+    phases = []
+
+    class Recording:
+        def run_pivots(self, tableau, basis, ncols_enter, tol, max_iter):
+            phases.append(1 if ncols_enter < tableau.shape[1] - 1 else 2)
+            return _kernel_py.run_pivots(tableau, basis, ncols_enter, tol, max_iter)
+
+    got = formulations.solve(lp, kernel=Recording())
+    want = simplex.solve(lp)
+    assert phases == [1, 2]
+    assert got.status is want.status is LpStatus.OPTIMAL
+    assert got.iterations == want.iterations
+    assert got.assignment.tobytes() == want.assignment.tobytes()
+    assert got.objective_value.hex() == want.objective_value.hex()
+    assert got.residual.hex() == want.residual.hex()

@@ -55,13 +55,22 @@ def tampers(draw, solution, schedule):
     """(which file, path to one number in it, the bad value)."""
     if draw(st.booleans()):
         # every number may go non-finite or negative; the frame fractions may
-        # leave the frame or move inside it, and d_b may claim more than the
-        # schedule realizes (per_bs may not: a lower demand stays servable)
-        field = draw(st.sampled_from(["per_bs", "p_first", "p_last", "d_b_gbps"]))
-        path = (field,) if field == "d_b_gbps" else (
+        # leave the frame or move inside it, d_b may claim more than the
+        # schedule realizes (per_bs may not: a lower demand stays servable),
+        # and a derived field may claim anything but its recomputed value
+        field = draw(st.sampled_from(["per_bs", "p_first", "p_last", "d_b_gbps",
+                                      "aggregate_gbps", "jain_index", "min_radio_chains"]))
+        path = (field,) if field in ("d_b_gbps", "aggregate_gbps", "jain_index") else (
             field, draw(st.sampled_from(sorted(solution[field]))))
         if field == "per_bs":
             return "solution", path, draw(NON_FINITE | NEGATIVE)
+        if field in ("aggregate_gbps", "jain_index"):
+            clean = solution[field]
+            return "solution", path, draw(NON_FINITE | NEGATIVE | SHIFT.map(
+                lambda shift: clean + shift))
+        if field == "min_radio_chains":
+            clean = solution[field][path[1]]
+            return "solution", path, draw(st.integers(-4, 8).filter(lambda n: n != clean))
         if field == "d_b_gbps":
             value = draw(NON_FINITE | NEGATIVE | st.floats(1e-5, 1e6).map(
                 lambda extra: solution["d_b_gbps"] + extra))

@@ -14,7 +14,12 @@ import oracles
 from backhaulopt import validator
 from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
 from backhaulopt.errors import AllZeroDemands
-from backhaulopt.formulations import Interference, parse_setting, solve_equal_demand
+from backhaulopt.formulations import (
+    Interference,
+    parse_setting,
+    solution_to_dict,
+    solve_equal_demand,
+)
 from backhaulopt.generator import (
     GeneratorConfig,
     adapt_topology,
@@ -22,7 +27,7 @@ from backhaulopt.generator import (
     strip_interference,
 )
 from backhaulopt.scheduler import Schedule, build_schedule, schedule_to_dict
-from backhaulopt.validator import jain_index, validate_schedule
+from backhaulopt.validator import derived_field_violations, jain_index, validate_schedule
 
 
 def _solved(topo, setting_name="MI-ER"):
@@ -386,3 +391,27 @@ def test_jain_index_values():
         jain_index([])
     with pytest.raises(AllZeroDemands):
         jain_index([0.0, 0.0])
+
+
+def test_derived_fields_are_recomputed_from_the_solution():
+    topo = helpers.chain(hops=(2, 1))
+    sol, _ = _solved(topo)
+    data = solution_to_dict(topo, sol)
+    assert derived_field_violations(topo, sol, data) == []
+    assert derived_field_violations(topo, sol, {}) == []  # an absent field is no claim
+    # within the relative tolerance of a reordered sum, and past it
+    near = {"aggregate_gbps": data["aggregate_gbps"] * (1 + 1e-12)}
+    assert derived_field_violations(topo, sol, near) == []
+    far = {"aggregate_gbps": data["aggregate_gbps"] * (1 + 1e-6)}
+    (found,) = derived_field_violations(topo, sol, far)
+    assert found.kind == "DerivedFieldMismatch"
+    # no Jain index exists for all-zero demands, so none may be claimed
+    zero = copy.deepcopy(sol)
+    zero.per_bs = dict.fromkeys(sol.per_bs, 0.0)
+    (found,) = derived_field_violations(topo, zero, {"jain_index": 1.0})
+    assert found.detail == "jain_index claims 1 but is nan"
+    # a missing p_first entry reads 0, so its link needs no chain time
+    partial = copy.deepcopy(sol)
+    del partial.p_first[1]
+    chains = {"min_radio_chains": {str(b): 1 for b in (0, 1, 2)}}
+    assert derived_field_violations(topo, partial, chains) == []

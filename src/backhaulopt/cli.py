@@ -110,12 +110,7 @@ def cmd_validate(args) -> int:
     solution = solution_from_dict(data)
     schedule = schedule_from_dict(_load_json(args.schedule))
     report = validate_schedule(
-        topology,
-        schedule,
-        p_first=solution.p_first,
-        demands=solution.per_bs,
-        p_last=solution.p_last,
-        d_b_gbps=solution.d_b_gbps,
+        topology, schedule, p_first=solution.p_first, demands=solution.per_bs
     )
     report.violations += derived_field_violations(topology, solution, data)
     for violation in report.violations:

@@ -105,9 +105,7 @@ def _realizes(topo, sol) -> bool:
         schedule = build_schedule(topo, sol.p_first)
     except PlacementFailure:
         return False
-    return validate_schedule(
-        topo, schedule, p_first=sol.p_first, demands=sol.per_bs, d_b_gbps=sol.d_b_gbps
-    ).ok
+    return validate_schedule(topo, schedule, p_first=sol.p_first, demands=sol.per_bs).ok
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialResult]:

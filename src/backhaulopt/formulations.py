@@ -298,14 +298,8 @@ def solve_equal_demand(topology: NetworkTopology, setting: Setting) -> DemandSol
         # p_a/P_a + p_b/P_b <= 1
         bounds.extend(1.0 / (load[a] + load[b]) for a, b in topology.interference_pairs)
     if setting.radio_chains is RadioChains.LIMITED:
-        # inbound last-link time plus the child links' first-link time
-        for s in topology.stations:
-            inbound = topology.inbound_link(s.id)
-            total = 0.0 if inbound is None else inbound.p_last_max * load[inbound.id]
-            for child in topology.child_links(s.id):
-                total += child.p_first_max * load[child.id]
-            if total > 0.0:
-                bounds.append(s.radio_chains / total)
+        time = chain_time(topology, load)
+        bounds.extend(s.radio_chains / time[s.id] for s in topology.stations if time[s.id] > 0.0)
     d_b = min(bounds)
 
     p_first = {
@@ -393,27 +387,35 @@ def solve_objective(
     return solve_aggregate(topology, setting, fair=fair, fair_floor=fair_floor)
 
 
+def chain_time(topology: NetworkTopology, share: dict[int, float]) -> dict[int, float]:
+    """Radio-chain time per BS when each link runs share[link.id] of the frame
+    at full rate: the last-link time P_l * share of its inbound link plus the
+    first-link time P_f * share of its child links, in ascending link id."""
+    time = dict.fromkeys((s.id for s in topology.stations), 0.0)
+    for link in topology.links:
+        time[link.child] += link.p_last_max * share[link.id]
+    for link in topology.links:
+        time[link.parent] += link.p_first_max * share[link.id]
+    return time
+
+
 def min_radio_chains(topology: NetworkTopology, p_first: dict[int, float]) -> dict[int, int]:
     """Fewest radio chains per BS that could realize the given fractions.
 
     A BS must cover the summed active time of its attached physical links;
     each chain covers at most the whole frame, so the count is the ceiling
-    of that sum (with a 1e-9 slack so exact integers do not round up).
+    of that sum (with a 1e-9 slack so exact integers do not round up). A
+    link without a p_first entry raises MissingLink, and a chain time that
+    is not finite raises NonFiniteInput.
     """
-    out = {}
-    for s in topology.stations:
-        total = 0.0
-        inbound = topology.inbound_link(s.id)
-        if inbound is not None:
-            if inbound.id not in p_first:
-                raise MissingLink(f"p_first has no entry for link {inbound.id}")
-            total += p_first[inbound.id] * inbound.p_last_max / inbound.p_first_max
-        for child in topology.child_links(s.id):
-            if child.id not in p_first:
-                raise MissingLink(f"p_first has no entry for link {child.id}")
-            total += p_first[child.id]
-        out[s.id] = max(1, math.ceil(total - 1e-9))
-    return out
+    missing = [l.id for l in topology.links if l.id not in p_first]
+    if missing:
+        raise MissingLink(f"p_first has no entry for link {missing[0]}")
+    time = chain_time(topology, {l.id: p_first[l.id] / l.p_first_max for l in topology.links})
+    for b, total in time.items():
+        if not math.isfinite(total):
+            raise NonFiniteInput(f"radio-chain time {total} at B{b} is not a finite number")
+    return {b: max(1, math.ceil(total - 1e-9)) for b, total in time.items()}
 
 
 def solution_to_dict(topology: NetworkTopology, solution: DemandSolution) -> dict:

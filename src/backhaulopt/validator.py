@@ -21,12 +21,12 @@ Violation kinds:
   each other, or with the p_first values being validated against, or a
   solution's p_last does not follow from its p_first.
 * CapacityShortfall: the realized link rate cannot carry the demand routed
-  through it, or the schedule realizes less equal demand than claimed.
+  through it.
 * MissingLink / UnknownLink: schedule entries absent for a topology link or
   present for a nonexistent one.
-* DerivedFieldMismatch: a solution file's aggregate_gbps, jain_index or
-  min_radio_chains disagrees with the value recomputed from its per_bs and
-  p_first (derived_field_violations; `backhaulopt validate` runs it).
+* DerivedFieldMismatch: a solution file's d_b_gbps, fair_floor_gbps,
+  aggregate_gbps, jain_index or min_radio_chains disagrees with its per_bs
+  and p_first (derived_field_violations, which also judges p_last).
 
 Every comparison of the schedule is in frame time at TOL_INTERVAL, rates
 too: a link that carries D Gbps at capacity C must run D/C of the frame.
@@ -38,8 +38,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from backhaulopt.errors import AllZeroDemands, InconsistentInput, InvalidTopology
-from backhaulopt.formulations import DemandSolution, min_radio_chains
+from backhaulopt.errors import AllZeroDemands, InconsistentInput, InvalidTopology, NonFiniteInput
+from backhaulopt.formulations import DemandSolution, _p_last, min_radio_chains
 from backhaulopt.model import NetworkTopology, Violation, json_float, json_int
 from backhaulopt.model import subtree_bs_set  # noqa: F401 (perfbench wraps it)
 from backhaulopt.scheduler import Schedule
@@ -156,18 +156,14 @@ def validate_schedule(
     schedule: Schedule,
     p_first: dict[int, float] | None = None,
     demands: dict[int, float] | None = None,
-    p_last: dict[int, float] | None = None,
-    d_b_gbps: float | None = None,
 ) -> ValidationReport:
     """Check a frame schedule against every feasibility rule.
 
     p_first, when given, pins the expected first-link active time per link;
     demands (Gbps per small BS) additionally require each link's realized
-    rate to carry its subtree traffic. p_last, when given, must equal
-    p_first * P_l/P_f, with the schedule's first-link time standing in for
-    p_first when that is not given; d_b_gbps, an equal demand the schedule
-    claims to serve, must fit every link, which carries it once per BS in
-    its subtree. Raises InvalidTopology when the topology is not a valid tree.
+    rate to carry its subtree traffic. What a solution claims about its own
+    numbers is judged by derived_field_violations. Raises InvalidTopology
+    when the topology is not a valid tree.
     """
     if topology.violations:
         raise InvalidTopology(topology.violations)
@@ -260,16 +256,6 @@ def validate_schedule(
                     "RatioMismatch",
                     f"link {link.id} first-link active {pf:.12g} != solution {expected:.12g}",
                 )
-        if p_last is not None:
-            first = pf if p_first is None else float(p_first.get(link.id, 0.0))
-            expected = first * link.p_last_max / link.p_first_max
-            got = float(p_last.get(link.id, 0.0))
-            if not abs(got - expected) <= TOL_INTERVAL:
-                add(
-                    "RatioMismatch",
-                    f"link {link.id} solution last-link fraction {got:.12g} != "
-                    f"first-link fraction x P_l/P_f {expected:.12g}",
-                )
 
         share = shares[link.id] = min(pf / link.p_first_max, pl / link.p_last_max)
         report.realized_rates[link.id] = share * link.capacity_gbps
@@ -308,25 +294,14 @@ def validate_schedule(
             for l, span in zip(topology.links, spans)
         )
 
-    def short(link, need: float) -> bool:
-        # negated passing test, so a NaN or infinite need is flagged
-        return not shares.get(link.id, 0.0) >= need / link.capacity_gbps - TOL_INTERVAL
-
-    if d_b_gbps is not None and any(
-        short(l, d_b_gbps * (span.stop - span.start)) for l, span in zip(topology.links, spans)
-    ):
-        add(
-            "CapacityShortfall",
-            f"equal demand {d_b_gbps:.9f} Gbps exceeds the realized "
-            f"{report.realized_equal_demand:.9f}",
-        )
-
     if demands is not None:
         # summed in each subtree's preorder, as the slices of one list
         per_bs = [demands.get(b, 0.0) for b in topology.subtree(topology.macro.id)]
         for link, span in zip(topology.links, spans):
             need = float(sum(per_bs[span]))
-            if link.id in shares and short(link, need):
+            share = shares.get(link.id)  # a link without a schedule entry has none
+            # negated passing test, so a NaN or infinite need is flagged
+            if share is not None and not share >= need / link.capacity_gbps - TOL_INTERVAL:
                 have = report.realized_rates[link.id]
                 add(
                     "CapacityShortfall",
@@ -355,18 +330,18 @@ def jain_index(values) -> float:
 def derived_field_violations(
     topology: NetworkTopology, solution: DemandSolution, data: dict
 ) -> list[Violation]:
-    """Check the derived fields of a solution file against its own numbers.
+    """Check what a solution file claims about its own numbers.
 
-    data is the solution JSON that solution was read from. Each of
-    aggregate_gbps, jain_index and min_radio_chains that data carries is a
-    claim, recomputed by the rule that wrote it: the sum of per_bs,
-    jain_index of per_bs, and min_radio_chains of p_first, where a missing
-    p_first entry reads 0 as in validate_schedule. The aggregate may differ
-    from the claim by TOL_INTERVAL relative, since a file's per_bs order
-    need not be the writer's summation order; Jain's index is compared at
-    the same tolerance, and the chain counts exactly, every BS key
-    included. An absent field is no claim. A field of the wrong type
-    raises InconsistentInput.
+    data is the solution JSON that solution was read from. Each claim is
+    recomputed by the rule that wrote it, a missing per_bs or p_first entry
+    reading 0: p_last is p_first * P_l/P_f (within TOL_INTERVAL, else a
+    RatioMismatch); d_b_gbps is every small BS's per_bs and fair_floor_gbps
+    at most each (null is no claim); aggregate_gbps is the sum of per_bs, as
+    a file's per_bs order need not be the writer's summation order;
+    jain_index and min_radio_chains follow from per_bs and p_first, the
+    chain counts exactly and for every BS key. Demands compare at relative
+    TOL_INTERVAL. The last three are claims only when data carries them; a
+    field of the wrong type raises InconsistentInput.
     """
     try:
         claims = {n: json_float(data[n]) for n in ("aggregate_gbps", "jain_index") if n in data}
@@ -380,6 +355,30 @@ def derived_field_violations(
         raise InconsistentInput(f"solution JSON does not match schema: {exc}") from exc
 
     found = []
+
+    def mismatch(detail: str) -> None:
+        found.append(Violation("DerivedFieldMismatch", detail))
+
+    p_first = {l.id: solution.p_first.get(l.id, 0.0) for l in topology.links}
+    for link_id, expected in _p_last(topology, p_first).items():
+        got = solution.p_last.get(link_id, 0.0)
+        # negated passing test, so a NaN on either side is flagged
+        if not abs(got - expected) <= TOL_INTERVAL:
+            found.append(Violation("RatioMismatch", f"link {link_id} solution last-link fraction "
+                                   f"{got:.12g} != first-link fraction x P_l/P_f {expected:.12g}"))
+
+    def close(value: float, claim: float) -> bool:
+        return math.isclose(value, claim, rel_tol=TOL_INTERVAL)
+
+    demand = {b: solution.per_bs.get(b, 0.0) for b in topology.small_bs_ids()}
+    for name, claim, holds in (
+        ("d_b_gbps", solution.d_b_gbps, close),
+        ("fair_floor_gbps", solution.fair_floor_gbps, lambda v, c: v >= c or close(v, c)),
+    ):
+        off = [] if claim is None else [b for b, v in demand.items() if not holds(v, claim)]
+        if off:
+            mismatch(f"{name} claims {claim:.12g} but per_bs[B{off[0]}] is {demand[off[0]]:.12g}")
+
     for name, claim in claims.items():
         if name == "aggregate_gbps":
             value = solution.aggregate_gbps
@@ -388,15 +387,15 @@ def derived_field_violations(
                 value = jain_index(solution.per_bs)
             except AllZeroDemands:
                 value = math.nan  # no Jain index exists, so no claim of one holds
-        if not math.isclose(claim, value, rel_tol=TOL_INTERVAL):
-            found.append(Violation(
-                "DerivedFieldMismatch", f"{name} claims {claim:.12g} but is {value:.12g}"))
+        if not close(claim, value):
+            mismatch(f"{name} claims {claim:.12g} but is {value:.12g}")
     if chains is not None:
-        p_first = {l.id: solution.p_first.get(l.id, 0.0) for l in topology.links}
-        needed = min_radio_chains(topology, p_first)
+        try:
+            needed = min_radio_chains(topology, p_first)
+        except NonFiniteInput:
+            needed = {}  # a chain time past the float range has no count to claim
         for b in sorted(needed.keys() | chains.keys()):
             claim, value = chains.get(b, "nothing"), needed.get(b, "nothing")
             if claim != value:
-                found.append(Violation(
-                    "DerivedFieldMismatch", f"min_radio_chains[B{b}] claims {claim} but is {value}"))
+                mismatch(f"min_radio_chains[B{b}] claims {claim} but is {value}")
     return found

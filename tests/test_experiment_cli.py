@@ -267,10 +267,11 @@ def test_cli_validate_rejects_a_number_field_that_is_not_a_json_number(
     assert "error:" in captured.err and "internal error:" not in captured.err
 
 
-def _seed7_triple(tmp_path):
+def _triple(tmp_path, *generate_flags, setting="MI-ER", objective="equal_demand"):
     paths = {n: tmp_path / f"{n}.json" for n in ("t", "s", "f")}
-    main(["generate", "--seed", "7", "--out", str(paths["t"])])
-    main(["solve", str(paths["t"]), "--setting", "MI-ER", "--out", str(paths["s"])])
+    main(["generate", *generate_flags, "--out", str(paths["t"])])
+    main(["solve", str(paths["t"]), "--setting", setting, "--objective", objective,
+          "--out", str(paths["s"])])
     main(["schedule", str(paths["t"]), str(paths["s"]), "--out", str(paths["f"])])
     return paths
 
@@ -294,7 +295,7 @@ def _validate_solution(paths, solution, capsys):
 )
 def test_cli_validate_checks_the_derived_fields(tmp_path, capsys, field, claim):
     # each of these validated as "schedule OK" while validate ignored them
-    paths = _seed7_triple(tmp_path)
+    paths = _triple(tmp_path, "--seed", "7")
     clean = json.loads(paths["s"].read_text())
     data = copy.deepcopy(clean)
     chains = data["min_radio_chains"]
@@ -315,7 +316,7 @@ def test_cli_validate_checks_the_derived_fields(tmp_path, capsys, field, claim):
 
 
 def test_cli_validate_allows_absent_derived_fields_and_any_key_order(tmp_path, capsys):
-    paths = _seed7_triple(tmp_path)
+    paths = _triple(tmp_path, "--seed", "7")
     clean = json.loads(paths["s"].read_text())
     without = {k: v for k, v in clean.items()
                if k not in ("aggregate_gbps", "jain_index", "min_radio_chains")}
@@ -332,7 +333,7 @@ def test_cli_validate_allows_absent_derived_fields_and_any_key_order(tmp_path, c
      ("min_radio_chains", {"x": 1}), ("min_radio_chains", 1.0)],
 )
 def test_cli_validate_rejects_a_derived_field_of_the_wrong_type(tmp_path, capsys, field, value):
-    paths = _seed7_triple(tmp_path)
+    paths = _triple(tmp_path, "--seed", "7")
     data = json.loads(paths["s"].read_text())
     if field == "min_radio_chains" and value == 1.0:
         data[field][next(iter(data[field]))] = value  # a count that is not a JSON integer
@@ -363,15 +364,48 @@ def test_cli_validate_reads_p_last_and_d_b(tmp_path, capsys):
     main(["solve", str(topo), "--setting", "MI-ER", "--out", str(sol)])
     main(["schedule", str(topo), str(sol), "--out", str(sched)])
     clean = json.loads(sol.read_text())
-    for key, value, kind in (("p_last", 0.99, "RatioMismatch"),
-                             ("d_b_gbps", 1e6, "CapacityShortfall")):
-        data = copy.deepcopy(clean)
+    d_b = clean["d_b_gbps"]
+    for key, value, per_bs, kind in (
+        ("p_last", 0.99, clean["per_bs"], "RatioMismatch(link "),
+        ("d_b_gbps", 1e6, clean["per_bs"], "DerivedFieldMismatch(d_b_gbps"),
+        ("d_b_gbps", d_b / 2, clean["per_bs"], "DerivedFieldMismatch(d_b_gbps"),
+        ("d_b_gbps", 1e6, {}, "DerivedFieldMismatch(d_b_gbps"),
+    ):
+        data = {**copy.deepcopy(clean), "per_bs": per_bs}
         data[key] = dict.fromkeys(data[key], value) if key == "p_last" else value
         sol.write_text(json.dumps(data))
         capsys.readouterr()
-        assert main(["validate", str(topo), str(sol), str(sched)]) == 1, key
+        assert main(["validate", str(topo), str(sol), str(sched)]) == 1, (key, value)
         out = capsys.readouterr().out
-        assert f"{kind}(" in out and "schedule OK" not in out
+        assert kind in out and "schedule OK" not in out, (key, value)
+
+
+def test_cli_validate_checks_the_fair_floor(tmp_path, capsys):
+    # every small BS demands at least the floor the fair objective solved with
+    paths = _triple(tmp_path, "--seed", "4", "--pairs", "2", setting="LI-LR(2)",
+                    objective="aggregate_fair")
+    data = json.loads(paths["s"].read_text())
+    code, out = _validate_solution(paths, data, capsys)
+    assert code == 0 and "schedule OK" in out.out
+    data["fair_floor_gbps"] = 1e6
+    code, out = _validate_solution(paths, data, capsys)
+    assert code == 1
+    assert "DerivedFieldMismatch(fair_floor_gbps claims 1000000 " in out.out
+    assert "schedule OK" not in out.out
+
+
+def test_cli_validate_reports_a_chain_time_past_the_float_range(tmp_path, capsys):
+    # two huge fractions at the macro sum to inf, which no chain count covers
+    paths = _triple(tmp_path, "--seed", "4", "--pairs", "2", setting="LI-LR(2)",
+                    objective="equal_demand")
+    topo = json.loads(paths["t"].read_text())
+    data = json.loads(paths["s"].read_text())
+    for link in [l for l in topo["links"] if l["parent"] == 0][:2]:
+        data["p_first"][str(link["id"])] = 1e308
+    code, out = _validate_solution(paths, data, capsys)
+    assert code == 1
+    assert "internal error:" not in out.err
+    assert "DerivedFieldMismatch(min_radio_chains[B0] claims 2 but is nothing)" in out.out
 
 
 def test_cli_schedule_rejects_too_many_partners(tmp_path, capsys):

@@ -15,6 +15,7 @@ from backhaulopt.errors import (
     InfeasibleFloor,
     InterferenceNotMinimal,
     InvalidTopology,
+    MissingLink,
     NonFiniteInput,
 )
 from backhaulopt.experiment import SETTING_NAMES
@@ -144,6 +145,33 @@ def test_min_radio_chains_frozen():
     star = helpers.star(3, hop=1)
     full = solve_equal_demand(star, MI_ER)  # every link saturated, p = 1
     assert min_radio_chains(star, full.p_first) == {0: 3, 1: 1, 2: 1, 3: 1}
+
+
+def test_min_radio_chains_needs_every_link_and_a_finite_time():
+    star = helpers.star(2, hop=1)
+    with pytest.raises(MissingLink):
+        min_radio_chains(star, {1: 0.5})
+    # the macro's chain time of 2e308 leaves the float range: no count covers it
+    for p_first in ({1: 1e308, 2: 1e308}, {1: float("nan"), 2: 0.5}):
+        with pytest.raises(NonFiniteInput):
+            min_radio_chains(star, p_first)
+
+
+def test_chain_time_sums_each_station_in_link_order():
+    # inbound last-link time first, then each child link's first-link time,
+    # the order in which the LR bound of the closed form summed them
+    for seed in range(40):
+        topo = helpers.random_small(seed)
+        rng = random.Random(seed)
+        share = {l.id: rng.random() for l in topo.links}
+        want = {}
+        for s in topo.stations:
+            inbound = topo.inbound_link(s.id)
+            total = 0.0 if inbound is None else inbound.p_last_max * share[inbound.id]
+            for child in topo.child_links(s.id):
+                total += child.p_first_max * share[child.id]
+            want[s.id] = total
+        assert formulations.chain_time(topo, share) == want, seed
 
 
 def test_setting_preconditions():

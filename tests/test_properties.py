@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from backhaulopt.cli import main
 from backhaulopt.errors import PlacementFailure
 from backhaulopt.experiment import SETTING_NAMES
-from backhaulopt.formulations import Interference, RadioChains, parse_setting, solve_equal_demand
+from backhaulopt.formulations import (
+    Interference,
+    RadioChains,
+    parse_setting,
+    solution_to_dict,
+    solve_equal_demand,
+)
 from backhaulopt.generator import (
     GeneratorConfig,
     adapt_topology,
@@ -25,7 +31,7 @@ from backhaulopt.generator import (
     strip_interference,
 )
 from backhaulopt.scheduler import build_schedule
-from backhaulopt.validator import validate_schedule
+from backhaulopt.validator import derived_field_violations, validate_schedule
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 NEGATIVE = st.floats(-10.0, -0.01)
@@ -55,12 +61,15 @@ def tampers(draw, solution, schedule):
     """(which file, path to one number in it, the bad value)."""
     if draw(st.booleans()):
         # every number may go non-finite or negative; the frame fractions may
-        # leave the frame or move inside it, d_b may claim more than the
-        # schedule realizes (per_bs may not: a lower demand stays servable),
-        # and a derived field may claim anything but its recomputed value
+        # leave the frame or move inside it, d_b may claim other than the
+        # per_bs of every BS, the fair floor more than the least of them
+        # (per_bs may not: a lower demand stays servable), and a derived
+        # field may claim anything but its recomputed value
         field = draw(st.sampled_from(["per_bs", "p_first", "p_last", "d_b_gbps",
-                                      "aggregate_gbps", "jain_index", "min_radio_chains"]))
-        path = (field,) if field in ("d_b_gbps", "aggregate_gbps", "jain_index") else (
+                                      "fair_floor_gbps", "aggregate_gbps", "jain_index",
+                                      "min_radio_chains"]))
+        whole = ("d_b_gbps", "fair_floor_gbps", "aggregate_gbps", "jain_index")
+        path = (field,) if field in whole else (
             field, draw(st.sampled_from(sorted(solution[field]))))
         if field == "per_bs":
             return "solution", path, draw(NON_FINITE | NEGATIVE)
@@ -72,8 +81,14 @@ def tampers(draw, solution, schedule):
             clean = solution[field][path[1]]
             return "solution", path, draw(st.integers(-4, 8).filter(lambda n: n != clean))
         if field == "d_b_gbps":
+            d_b = solution["d_b_gbps"]
             value = draw(NON_FINITE | NEGATIVE | st.floats(1e-5, 1e6).map(
-                lambda extra: solution["d_b_gbps"] + extra))
+                lambda extra: d_b + extra) | st.floats(0.0, d_b * (1 - 1e-6)))
+            return "solution", path, value
+        if field == "fair_floor_gbps":
+            low = min(solution["per_bs"].values())
+            value = draw(NON_FINITE | NEGATIVE | st.floats(1e-5, 1e6).map(
+                lambda extra: low + extra))
             return "solution", path, value
         clean = solution[field][path[1]]
         value = draw(NON_FINITE | OUT_OF_FRAME | SHIFT.map(lambda shift: clean + shift))
@@ -188,13 +203,8 @@ def test_random_trees_round_trip(base):
             # only a radio-chain budget can make the fractions unplaceable
             assert setting.radio_chains is RadioChains.LIMITED, name
             continue
-        report = validate_schedule(
-            topo,
-            schedule,
-            p_first=sol.p_first,
-            demands=sol.per_bs,
-            p_last=sol.p_last,
-            d_b_gbps=sol.d_b_gbps,
-        )
+        report = validate_schedule(topo, schedule, p_first=sol.p_first, demands=sol.per_bs)
         assert report.ok, (name, [str(v) for v in report.violations[:3]])
+        claims = derived_field_violations(topo, sol, solution_to_dict(topo, sol))
+        assert not claims, (name, [str(v) for v in claims[:3]])
         assert report.realized_equal_demand >= sol.d_b_gbps - 1e-6, name

@@ -292,14 +292,7 @@ def _frozen_cases():
 
 
 def _report_text(topo, schedule, sol):
-    report = validate_schedule(
-        topo,
-        schedule,
-        p_first=sol.p_first,
-        demands=sol.per_bs,
-        p_last=sol.p_last,
-        d_b_gbps=sol.d_b_gbps,
-    )
+    report = validate_schedule(topo, schedule, p_first=sol.p_first, demands=sol.per_bs)
     rates = ",".join(f"{k}:{v.hex()}" for k, v in sorted(report.realized_rates.items()))
     lines = [str(v) for v in report.violations]
     return "|".join([*lines, rates, report.realized_equal_demand.hex()])

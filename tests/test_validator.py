@@ -16,6 +16,7 @@ from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
 from backhaulopt.errors import AllZeroDemands
 from backhaulopt.formulations import (
     Interference,
+    _p_last,
     parse_setting,
     solution_to_dict,
     solve_equal_demand,
@@ -156,26 +157,67 @@ def test_capacity_shortfall_detected():
 
 def test_solution_p_last_checked_against_p_first():
     topo = helpers.chain(hops=(2, 1))
-    sol, sched = _solved(topo)
-    clean = validate_schedule(topo, sched, p_first=sol.p_first, p_last=sol.p_last)
-    assert clean.ok
-    for p_first in (sol.p_first, None):  # without p_first, the schedule's time
-        off = {**sol.p_last, 1: sol.p_last[1] + 1e-8}
-        report = validate_schedule(topo, sched, p_first=p_first, p_last=off)
-        assert _kinds(report) == {"RatioMismatch"}
-        assert "last-link fraction" in str(report.violations[0])
-    nan = dict.fromkeys(sol.p_last, float("nan"))
-    assert _kinds(validate_schedule(topo, sched, p_last=nan)) == {"RatioMismatch"}
+    sol, _ = _solved(topo)
+    assert derived_field_violations(topo, sol, {}) == []
+    off = copy.deepcopy(sol)
+    off.p_last[1] += 1e-8
+    (found,) = derived_field_violations(topo, off, {})
+    assert found.kind == "RatioMismatch"
+    assert "last-link fraction" in found.detail
+    off.p_last = dict.fromkeys(sol.p_last, float("nan"))
+    assert {v.kind for v in derived_field_violations(topo, off, {})} == {"RatioMismatch"}
+    # a missing p_first entry reads 0, so its link's p_last must be 0 as well
+    partial = copy.deepcopy(sol)
+    del partial.p_first[1]
+    (found,) = derived_field_violations(topo, partial, {})
+    assert found.detail.startswith("link 1 ")
+    partial.p_last[1] = 0.0
+    assert derived_field_violations(topo, partial, {}) == []
+
+
+def _lines(found):
+    return [str(v) for v in found]
 
 
 def test_overclaimed_equal_demand_detected():
+    # d_b_gbps is every small BS's per_bs, so an over- or under-claim is a
+    # mismatch, and so is any claim but 0 over an emptied per_bs
     topo = helpers.chain(hops=(2, 1))
-    sol, sched = _solved(topo)
-    assert validate_schedule(topo, sched, d_b_gbps=sol.d_b_gbps).ok
-    for claim in (sol.d_b_gbps + 1e-5, 1e6, float("nan")):
-        report = validate_schedule(topo, sched, d_b_gbps=claim)
-        assert _kinds(report) == {"CapacityShortfall"}, claim
-        assert "exceeds the realized" in str(report.violations[0])
+    sol, _ = _solved(topo)
+    for claim in (sol.d_b_gbps + 1e-5, 1e6, float("nan"), sol.d_b_gbps * (1 - 1e-6), 0.0):
+        over = copy.deepcopy(sol)
+        over.d_b_gbps = claim
+        (found,) = _lines(derived_field_violations(topo, over, {}))
+        assert found.startswith(f"DerivedFieldMismatch(d_b_gbps claims {claim:.12g} "), found
+    within = copy.deepcopy(sol)
+    within.d_b_gbps *= 1 + 1e-12
+    assert derived_field_violations(topo, within, {}) == []
+    empty = copy.deepcopy(sol)
+    empty.per_bs = {}
+    empty.d_b_gbps = 1e6
+    (found,) = _lines(derived_field_violations(topo, empty, {}))
+    assert found == "DerivedFieldMismatch(d_b_gbps claims 1000000 but per_bs[B1] is 0)"
+    empty.d_b_gbps = None  # a null d_b_gbps is no claim
+    assert derived_field_violations(topo, empty, {}) == []
+
+
+def test_fair_floor_bounds_every_small_bs_demand():
+    topo = helpers.chain(hops=(2, 1))
+    sol, _ = _solved(topo)
+    low = min(sol.per_bs.values())
+    for floor, ok in ((None, True), (0.0, True), (low, True), (low * (1 + 1e-12), True),
+                      (low * (1 + 1e-6), False), (1e6, False), (float("nan"), False)):
+        claimed = copy.deepcopy(sol)
+        claimed.fair_floor_gbps = floor
+        found = _lines(derived_field_violations(topo, claimed, {}))
+        assert found == ([] if ok else [
+            f"DerivedFieldMismatch(fair_floor_gbps claims {floor:.12g} but per_bs[B1] is "
+            f"{sol.per_bs[1]:.12g})"]), floor
+    # a BS the file leaves out demands 0, which is below any positive floor
+    claimed.fair_floor_gbps, claimed.d_b_gbps = low, None
+    del claimed.per_bs[2]
+    (found,) = _lines(derived_field_violations(topo, claimed, {}))
+    assert "fair_floor_gbps" in found and "per_bs[B2] is 0" in found
 
 
 def test_missing_and_unknown_links_reported():
@@ -335,9 +377,9 @@ def test_shortfall_on_a_slow_link_is_flagged():
     sol = solve_equal_demand(topo, parse_setting("MI-ER")[0])
     sched = build_schedule(topo, {1: sol.p_first[1] / 2})
     assert validate_schedule(topo, sched).ok
-    report = validate_schedule(topo, sched, demands=sol.per_bs, d_b_gbps=sol.d_b_gbps)
+    report = validate_schedule(topo, sched, demands=sol.per_bs)
     assert _kinds(report) == {"CapacityShortfall"}
-    assert len(report.violations) == 2
+    assert len(report.violations) == 1
 
 
 def test_equal_demand_verdicts_do_not_depend_on_the_unit_of_rate():
@@ -363,14 +405,13 @@ def test_equal_demand_verdicts_do_not_depend_on_the_unit_of_rate():
                 topo = adapt_topology(topo, setting, macro_chains=macro_chains)
             sol = solve_equal_demand(topo, setting)
             sched = build_schedule(topo, sol.p_first)
-            report = validate_schedule(
-                topo, sched, p_first=sol.p_first, demands=sol.per_bs, d_b_gbps=sol.d_b_gbps
-            )
+            report = validate_schedule(topo, sched, p_first=sol.p_first, demands=sol.per_bs)
+            claims = derived_field_violations(topo, sol, solution_to_dict(topo, sol))
             got = {
                 "d_b": float.hex(math.ldexp(sol.d_b_gbps, -k)),
                 "realized": float.hex(math.ldexp(report.realized_equal_demand, -k)),
                 "schedule": json.dumps(schedule_to_dict(sched), sort_keys=True),
-                "ok": report.ok,
+                "ok": report.ok and not claims,
             }
             if not seen:  # the first case is the reference, and every case passes
                 seen = {**got, "ok": True}
@@ -408,10 +449,26 @@ def test_derived_fields_are_recomputed_from_the_solution():
     # no Jain index exists for all-zero demands, so none may be claimed
     zero = copy.deepcopy(sol)
     zero.per_bs = dict.fromkeys(sol.per_bs, 0.0)
+    zero.d_b_gbps = 0.0
     (found,) = derived_field_violations(topo, zero, {"jain_index": 1.0})
     assert found.detail == "jain_index claims 1 but is nan"
     # a missing p_first entry reads 0, so its link needs no chain time
     partial = copy.deepcopy(sol)
     del partial.p_first[1]
+    partial.p_last[1] = 0.0
     chains = {"min_radio_chains": {str(b): 1 for b in (0, 1, 2)}}
     assert derived_field_violations(topo, partial, chains) == []
+
+
+def test_chain_time_past_the_float_range_claims_no_count():
+    # two huge fractions at the macro sum past the float range: no count
+    # covers that, so every claimed count is a mismatch, not an OverflowError
+    topo = helpers.star(2, hop=1)
+    sol, _ = _solved(topo)
+    huge = copy.deepcopy(sol)
+    huge.p_first = dict.fromkeys(sol.p_first, 1e308)
+    huge.p_last = _p_last(topo, huge.p_first)
+    chains = {"min_radio_chains": {str(b): 1 for b in (0, 1, 2)}}
+    assert _lines(derived_field_violations(topo, huge, chains)) == [
+        f"DerivedFieldMismatch(min_radio_chains[B{b}] claims 1 but is nothing)" for b in (0, 1, 2)
+    ]

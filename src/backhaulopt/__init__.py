@@ -12,6 +12,7 @@ from backhaulopt.formulations import (
     Objective,
     RadioChains,
     Setting,
+    jain_index,
     min_radio_chains,
     parse_setting,
     solve_aggregate,
@@ -28,7 +29,7 @@ from backhaulopt.model import (
     save_topology,
 )
 from backhaulopt.scheduler import Schedule, build_schedule
-from backhaulopt.validator import ValidationReport, jain_index, validate_schedule
+from backhaulopt.validator import ValidationReport, validate_schedule
 
 __version__ = "1.0.0"
 

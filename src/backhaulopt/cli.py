@@ -2,14 +2,14 @@
 
 Exit codes: 0 success, 1 a validated schedule has violations, 2 the problem
 is infeasible or unrealizable as posed, 3 usage, file, input or solver
-errors, and any internal error (printed with its traceback).
+errors, and any internal error (printed with its traceback). Every file is
+read and written by model.read_json and model.write_json.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import traceback
@@ -25,7 +25,7 @@ from backhaulopt.formulations import (
     solve_objective,
 )
 from backhaulopt.generator import GeneratorConfig, adapt_topology, generate_topology
-from backhaulopt.model import load_topology, topology_to_dict
+from backhaulopt.model import load_topology, read_json, topology_to_dict, write_json
 from backhaulopt.scheduler import build_schedule, schedule_from_dict, schedule_to_dict
 from backhaulopt.validator import derived_field_violations, validate_schedule
 
@@ -50,23 +50,6 @@ def _seed_for(args) -> int:
     return args.seed
 
 
-def _emit(data: dict, out: str) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True)
-    if out == "-":
-        print(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-
-
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InconsistentInput(f"{path} is not valid JSON: {exc}") from exc
-
-
 def cmd_generate(args) -> int:
     config = GeneratorConfig(
         seed=_seed_for(args),
@@ -76,7 +59,7 @@ def cmd_generate(args) -> int:
         interference_pair_budget=args.pairs,
         phy_rate_gbps=args.phy_rate,
     )
-    _emit(topology_to_dict(generate_topology(config)), args.out)
+    write_json(topology_to_dict(generate_topology(config)), args.out)
     return 0
 
 
@@ -89,7 +72,7 @@ def cmd_solve(args) -> int:
     solution = solve_objective(
         topology, setting, Objective(args.objective), fair_floor=args.fair_floor
     )
-    _emit(solution_to_dict(topology, solution), args.out)
+    write_json(solution_to_dict(topology, solution), args.out)
     if solution.d_b_gbps is not None:
         print(f"per-BS demand: {solution.d_b_gbps:.9f} Gbps", file=sys.stderr)
     print(f"aggregate demand: {solution.aggregate_gbps:.9f} Gbps", file=sys.stderr)
@@ -98,17 +81,17 @@ def cmd_solve(args) -> int:
 
 def cmd_schedule(args) -> int:
     topology = load_topology(args.topology)
-    solution = solution_from_dict(_load_json(args.solution))
+    solution = solution_from_dict(read_json(args.solution, "solution"))
     schedule = build_schedule(topology, solution.p_first)
-    _emit(schedule_to_dict(schedule), args.out)
+    write_json(schedule_to_dict(schedule), args.out)
     return 0
 
 
 def cmd_validate(args) -> int:
     topology = load_topology(args.topology)
-    data = _load_json(args.solution)
+    data = read_json(args.solution, "solution")
     solution = solution_from_dict(data)
-    schedule = schedule_from_dict(_load_json(args.schedule))
+    schedule = schedule_from_dict(read_json(args.schedule, "schedule"))
     report = validate_schedule(
         topology, schedule, p_first=solution.p_first, demands=solution.per_bs
     )

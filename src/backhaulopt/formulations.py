@@ -22,6 +22,9 @@ build_equal_demand_lp still builds its LP, the route tests check it against.
 NumPy and backhaulopt.lp load with the first LP built or solved, not with
 this module, so a process that never runs an LP (generate, the default
 solve, schedule, validate) never imports them.
+
+solution_to_dict writes a solution file, its Jain index by jain_index here,
+and solution_from_dict reads one under model's JSON rules.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from typing import TYPE_CHECKING
 
 from backhaulopt import model as _model
 from backhaulopt.errors import (
+    AllZeroDemands,
     InconsistentInput,
     InfeasibleFloor,
     InterferenceNotMinimal,
@@ -43,7 +47,8 @@ from backhaulopt.errors import (
     NonFiniteInput,
     SolverFailure,
 )
-from backhaulopt.model import NetworkTopology, subtree_bs_set  # noqa: F401 (perfbench wraps it)
+from backhaulopt.model import NetworkTopology, json_float, json_map, schema
+from backhaulopt.model import subtree_bs_set  # noqa: F401 (perfbench wraps it)
 
 if TYPE_CHECKING:
     from backhaulopt.lp import LinearProgram, LpSolution
@@ -111,6 +116,19 @@ class DemandSolution:
     @property
     def aggregate_gbps(self) -> float:
         return float(sum(self.per_bs.values()))
+
+
+def jain_index(values) -> float:
+    """Jain fairness of a demand vector, 1.0 for equal shares: the values are
+    scaled by their maximum first, so an all-equal vector gives exactly 1.0."""
+    seq = [float(v) for v in (values.values() if isinstance(values, dict) else values)]
+    if not seq or all(v <= 0.0 for v in seq):
+        raise AllZeroDemands("fairness is undefined for an all-zero demand vector")
+    top = max(seq)
+    scaled = [v / top for v in seq]
+    num = math.fsum(scaled) ** 2
+    den = len(scaled) * math.fsum(v * v for v in scaled)
+    return num / den
 
 
 def _check_topology(topology: NetworkTopology, setting: Setting) -> None:
@@ -419,8 +437,6 @@ def min_radio_chains(topology: NetworkTopology, p_first: dict[int, float]) -> di
 
 
 def solution_to_dict(topology: NetworkTopology, solution: DemandSolution) -> dict:
-    from backhaulopt.validator import jain_index  # local import, no cycle at module load
-
     return {
         "objective": solution.objective.value,
         "d_b_gbps": solution.d_b_gbps,
@@ -443,20 +459,13 @@ def _reject_number(label: str, value: float) -> None:
 
 
 def solution_from_dict(data: dict) -> DemandSolution:
-    if not isinstance(data, dict):
-        raise InconsistentInput("solution JSON must be an object")
-    for name in ("per_bs", "p_first", "p_last"):
-        if not isinstance(data.get(name), dict):
-            raise InconsistentInput(f"solution JSON {name} must be an object")
-    try:
+    with schema("solution"):
         objective = Objective(data["objective"])
-        per_bs = {int(b): _model.json_float(v) for b, v in data["per_bs"].items()}
-        p_first = {int(i): _model.json_float(v) for i, v in data["p_first"].items()}
-        p_last = {int(i): _model.json_float(v) for i, v in data["p_last"].items()}
+        per_bs = json_map(data["per_bs"], json_float)
+        p_first = json_map(data["p_first"], json_float)
+        p_last = json_map(data["p_last"], json_float)
         optional = (data.get("d_b_gbps"), data.get("fair_floor_gbps"))
-        d_b, floor = (None if v is None else _model.json_float(v) for v in optional)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InconsistentInput(f"solution JSON does not match schema: {exc}") from exc
+        d_b, floor = (None if v is None else json_float(v) for v in optional)
     # demands and active-time fractions are finite and never negative
     for name, values in (("per_bs", per_bs), ("p_first", p_first), ("p_last", p_last)):
         for k, v in values.items():

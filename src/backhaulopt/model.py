@@ -4,12 +4,20 @@ The physical relay paths between base stations are abstracted away; a
 logical link keeps only its hop count and the endpoint capacity profile
 derived from it (see capacity). Link ids equal the id of the child BS the
 link feeds, which is also how the inbound link of a BS is found.
+
+Every JSON file is read by read_json and written by write_json. The readers
+of decoded files state their field rules in a schema block, which reports a
+missing field or a wrong shape as InconsistentInput: json_int and json_float
+refuse what int() and float() would truncate, coerce or overflow on (2.5,
+"0.25", true, a huge integer), and json_map reads an object keyed by ids.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -348,15 +356,37 @@ def topology_to_dict(topology: NetworkTopology) -> dict:
     }
 
 
-# Field rules of input JSON: int() and float() would truncate 2.5, take "0.25"
-# and true, and overflow on Infinity or a huge integer; these raise TypeError
-# or ValueError, which the from_dict readers report as InconsistentInput. Map
-# keys are strings and go through int().
+def read_json(path: str, what: str):
+    """Decode the JSON file at path, or raise InconsistentInput naming what it holds."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InconsistentInput(f"cannot read {what} from {path}: {exc}") from exc
+
+
+def write_json(data, out: str) -> None:
+    """data as JSON with indent 2, sorted keys and a final newline; out "-" is stdout."""
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(out, "w") as fh:
+            fh.write(text)
+
+
+@contextmanager
+def schema(what: str):
+    """Report a KeyError, TypeError or ValueError of the block as InconsistentInput."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InconsistentInput(f"{what} JSON does not match schema: {exc}") from exc
 
 
 def json_int(value) -> int:
     """A count or id field: a JSON integer, that is an int that is not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise TypeError(f"{value!r} is not a JSON integer")
     return value
 
@@ -373,8 +403,20 @@ def json_float(value) -> float:
         raise ValueError("integer out of the float range") from None
 
 
+def json_map(value, rule) -> dict:
+    """An object keyed by ids, each key read with int() and each value with rule;
+    int() reads "2", "02" and " 2" alike, so two keys for one id are a ValueError."""
+    if type(value) is not dict:
+        raise TypeError(f"{value!r:.40} is not an object keyed by ids")
+    out = {int(k): rule(v) for k, v in value.items()}
+    if len(out) < len(value):
+        ids = [int(k) for k in value]
+        raise ValueError(f"two keys name id {next(i for i in ids if ids.count(i) > 1)}")
+    return out
+
+
 def topology_from_dict(data: Mapping) -> NetworkTopology:
-    try:
+    with schema("topology"):
         stations = [
             BaseStation(json_int(s["id"]), str(s["kind"]), json_int(s["radio_chains"]))
             for s in data["stations"]
@@ -393,21 +435,12 @@ def topology_from_dict(data: Mapping) -> NetworkTopology:
             for l in data["links"]
         ]
         pairs = [(json_int(a), json_int(b)) for a, b in data.get("interference", [])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InconsistentInput(f"topology JSON does not match schema: {exc}") from exc
     return NetworkTopology(stations, links, pairs)
 
 
 def load_topology(path: str) -> NetworkTopology:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InconsistentInput(f"cannot read topology from {path}: {exc}") from exc
-    return topology_from_dict(data)
+    return topology_from_dict(read_json(path, "topology"))
 
 
 def save_topology(topology: NetworkTopology, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(topology_to_dict(topology), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(topology_to_dict(topology), path)

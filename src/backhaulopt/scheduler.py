@@ -36,7 +36,7 @@ from backhaulopt.errors import (
     NonFiniteInput,
     PlacementFailure,
 )
-from backhaulopt.model import NetworkTopology, json_float, json_int
+from backhaulopt.model import NetworkTopology, json_float, json_int, json_map, schema
 
 GRID = 10**12
 # Placement may come up short by LP round-off; anything within this many grid
@@ -49,7 +49,6 @@ Interval = tuple[float, float]
 
 @dataclass
 class LinkSchedule:
-    link_id: int
     footprint: list[Interval]
     parent_side: list[tuple[int, float, float]]  # (chain at parent BS, start, end)
     child_side: list[tuple[int, float, float]]  # (chain at child BS, start, end)
@@ -338,7 +337,6 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
 def _emit(state: _State, plans: dict[int, _LinkPlan]) -> Schedule:
     links = {
         lid: LinkSchedule(
-            link_id=lid,
             footprint=[(s / GRID, e / GRID) for s, e in plan.footprint],
             parent_side=[
                 (chain, s / GRID, e / GRID)
@@ -381,33 +379,23 @@ def schedule_to_dict(schedule: Schedule) -> dict:
     }
 
 
+def _pieces(side) -> list[tuple[int, float, float]]:
+    return [(json_int(p["chain"]), json_float(p["start"]), json_float(p["end"])) for p in side]
+
+
+def _link_schedule(entry) -> LinkSchedule:
+    footprint = [(json_float(s), json_float(e)) for s, e in entry["footprint"]]
+    return LinkSchedule(footprint, _pieces(entry["parent_side"]), _pieces(entry["child_side"]))
+
+
 def schedule_from_dict(data: dict) -> Schedule:
-    if not isinstance(data, dict) or not isinstance(data.get("links"), dict):
-        raise InconsistentInput("schedule JSON links must be an object")
-    if not isinstance(data.get("meta", {}), dict):
-        raise InconsistentInput("schedule JSON meta must be an object")
-    try:
-        links = {
-            int(lid): LinkSchedule(
-                link_id=int(lid),
-                footprint=[(json_float(s), json_float(e)) for s, e in entry["footprint"]],
-                parent_side=[
-                    (json_int(p["chain"]), json_float(p["start"]), json_float(p["end"]))
-                    for p in entry["parent_side"]
-                ],
-                child_side=[
-                    (json_int(p["chain"]), json_float(p["start"]), json_float(p["end"]))
-                    for p in entry["child_side"]
-                ],
-            )
-            for lid, entry in data["links"].items()
-        }
+    with schema("schedule"):
+        links = json_map(data["links"], _link_schedule)
         chains = {
             (json_int(c["bs"]), json_int(c["chain"])): [
                 (json_float(s), json_float(e)) for s, e in c["intervals"]
             ]
             for c in data.get("chains", [])
         }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InconsistentInput(f"schedule JSON does not match schema: {exc}") from exc
-    return Schedule(links=links, per_bs_chains=chains, meta=dict(data.get("meta", {})))
+        meta = {**data.get("meta", {})}  # a copy; TypeError unless an object
+    return Schedule(links=links, per_bs_chains=chains, meta=meta)

@@ -1,4 +1,4 @@
-"""Schedule feasibility checking and fairness metrics.
+"""Schedule feasibility checking and the check of a solution file's claims.
 
 The checks here recompute everything from the per-link interval lists; the
 schedule's chain-occupancy summary is never trusted. A report carries every
@@ -22,8 +22,9 @@ Violation kinds:
   solution's p_last does not follow from its p_first.
 * CapacityShortfall: the realized link rate cannot carry the demand routed
   through it.
-* MissingLink / UnknownLink: schedule entries absent for a topology link or
-  present for a nonexistent one.
+* MissingLink / UnknownLink / UnknownBS: schedule entries absent for a
+  topology link or present for a nonexistent one; solution p_first or
+  p_last entries for a nonexistent link, or per_bs ones for no small BS.
 * DerivedFieldMismatch: a solution file's d_b_gbps, fair_floor_gbps,
   aggregate_gbps, jain_index or min_radio_chains disagrees with its per_bs
   and p_first (derived_field_violations, which also judges p_last).
@@ -38,9 +39,9 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from backhaulopt.errors import AllZeroDemands, InconsistentInput, InvalidTopology, NonFiniteInput
-from backhaulopt.formulations import DemandSolution, _p_last, min_radio_chains
-from backhaulopt.model import NetworkTopology, Violation, json_float, json_int
+from backhaulopt.errors import AllZeroDemands, InvalidTopology, NonFiniteInput
+from backhaulopt.formulations import DemandSolution, _p_last, jain_index, min_radio_chains
+from backhaulopt.model import NetworkTopology, Violation, json_float, json_int, json_map, schema
 from backhaulopt.model import subtree_bs_set  # noqa: F401 (perfbench wraps it)
 from backhaulopt.scheduler import Schedule
 
@@ -311,55 +312,41 @@ def validate_schedule(
     return report
 
 
-def jain_index(values) -> float:
-    """Jain fairness of a demand vector; 1.0 means exactly equal shares.
-
-    Values are normalized by their maximum first so an all-equal vector
-    comes out as exactly 1.0 rather than within round-off of it.
-    """
-    seq = [float(v) for v in (values.values() if isinstance(values, dict) else values)]
-    if not seq or all(v <= 0.0 for v in seq):
-        raise AllZeroDemands("fairness is undefined for an all-zero demand vector")
-    top = max(seq)
-    scaled = [v / top for v in seq]
-    num = math.fsum(scaled) ** 2
-    den = len(scaled) * math.fsum(v * v for v in scaled)
-    return num / den
-
-
 def derived_field_violations(
     topology: NetworkTopology, solution: DemandSolution, data: dict
 ) -> list[Violation]:
     """Check what a solution file claims about its own numbers.
 
-    data is the solution JSON that solution was read from. Each claim is
-    recomputed by the rule that wrote it, a missing per_bs or p_first entry
-    reading 0: p_last is p_first * P_l/P_f (within TOL_INTERVAL, else a
-    RatioMismatch); d_b_gbps is every small BS's per_bs and fair_floor_gbps
-    at most each (null is no claim); aggregate_gbps is the sum of per_bs, as
-    a file's per_bs order need not be the writer's summation order;
-    jain_index and min_radio_chains follow from per_bs and p_first, the
-    chain counts exactly and for every BS key. Demands compare at relative
-    TOL_INTERVAL. The last three are claims only when data carries them; a
-    field of the wrong type raises InconsistentInput.
+    data is the solution JSON that solution was read from. A per_bs entry
+    for no small BS is an UnknownBS, a p_first or p_last entry for no link
+    an UnknownLink, each in ascending id. Each claim is recomputed by the
+    rule that wrote it, a missing per_bs or p_first entry reading 0: p_last
+    is p_first * P_l/P_f (within TOL_INTERVAL, else a RatioMismatch);
+    d_b_gbps is every small BS's per_bs and fair_floor_gbps at most each
+    (null is no claim); aggregate_gbps is the sum of per_bs, as a file's
+    per_bs order need not be the writer's summation order; jain_index and
+    min_radio_chains follow from per_bs and p_first, the chain counts
+    exactly and for every BS key. Demands compare at relative TOL_INTERVAL.
+    The last three are claims only when data carries them; a field of the
+    wrong type raises InconsistentInput.
     """
-    try:
+    with schema("solution"):
         claims = {n: json_float(data[n]) for n in ("aggregate_gbps", "jain_index") if n in data}
         chains = None
         if "min_radio_chains" in data:
-            chains = data["min_radio_chains"]
-            if not isinstance(chains, dict):
-                raise TypeError(f"min_radio_chains {chains!r} is not an object")
-            chains = {int(b): json_int(v) for b, v in chains.items()}
-    except (TypeError, ValueError) as exc:
-        raise InconsistentInput(f"solution JSON does not match schema: {exc}") from exc
+            chains = json_map(data["min_radio_chains"], json_int)
 
-    found = []
+    demand = {b: solution.per_bs.get(b, 0.0) for b in topology.small_bs_ids()}
+    p_first = {l.id: solution.p_first.get(l.id, 0.0) for l in topology.links}
+    found = [Violation("UnknownBS", f"solution per_bs has B{b}, which is no small BS")
+             for b in sorted(solution.per_bs.keys() - demand.keys())]
+    found += [Violation("UnknownLink", f"solution {name} has link {i}, which the topology lacks")
+              for name, ids in (("p_first", solution.p_first), ("p_last", solution.p_last))
+              for i in sorted(ids.keys() - p_first.keys())]
 
     def mismatch(detail: str) -> None:
         found.append(Violation("DerivedFieldMismatch", detail))
 
-    p_first = {l.id: solution.p_first.get(l.id, 0.0) for l in topology.links}
     for link_id, expected in _p_last(topology, p_first).items():
         got = solution.p_last.get(link_id, 0.0)
         # negated passing test, so a NaN on either side is flagged
@@ -370,7 +357,6 @@ def derived_field_violations(
     def close(value: float, claim: float) -> bool:
         return math.isclose(value, claim, rel_tol=TOL_INTERVAL)
 
-    demand = {b: solution.per_bs.get(b, 0.0) for b in topology.small_bs_ids()}
     for name, claim, holds in (
         ("d_b_gbps", solution.d_b_gbps, close),
         ("fair_floor_gbps", solution.fair_floor_gbps, lambda v, c: v >= c or close(v, c)),

@@ -22,6 +22,7 @@ from backhaulopt.experiment import (
     run_trial,
     write_results,
 )
+from backhaulopt.formulations import jain_index
 from backhaulopt.generator import GeneratorConfig, generate_topology
 from backhaulopt.lp import _kernel_py
 from backhaulopt.model import make_link, save_topology
@@ -342,6 +343,75 @@ def test_cli_validate_rejects_a_derived_field_of_the_wrong_type(tmp_path, capsys
     code, out = _validate_solution(paths, data, capsys)
     assert code == 3
     assert "error:" in out.err and "internal error:" not in out.err
+
+
+def _validate(paths, capsys, **docs):
+    """Write the given documents ("s" solution, "f" schedule) and validate."""
+    for name, data in docs.items():
+        paths[name].write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main(["validate", *map(str, paths.values())])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc, field", [("f", "links"), ("s", "per_bs")])
+def test_cli_validate_refuses_two_keys_for_one_id(tmp_path, capsys, doc, field):
+    # int() reads "2" and "02" alike; the later entry won, and the first,
+    # never judged, passed as "schedule OK"
+    paths = _triple(tmp_path, "--seed", "4", "--pairs", "2", setting="LI-LR(2)")
+    data = json.loads(paths[doc].read_text())
+    entries = data[field]
+    first = {"footprint": [[0.0, 1.0]], "parent_side": [], "child_side": []} if doc == "f" else 1e6
+    data[field] = {"2": first, **{("02" if k == "2" else k): v for k, v in entries.items()}}
+    code, out = _validate(paths, capsys, **{doc: data})
+    assert code == 3
+    assert "schedule OK" not in out.out
+    assert "two keys name id 2" in out.err and "internal error:" not in out.err
+
+
+def _claims_recomputed(data):
+    """data with aggregate_gbps and jain_index recomputed over its per_bs."""
+    return {**data, "aggregate_gbps": float(sum(data["per_bs"].values())),
+            "jain_index": jain_index(data["per_bs"])}
+
+
+@pytest.mark.parametrize("fields, expected", [
+    (("per_bs",), ["UnknownBS(solution per_bs has B0, which is no small BS)",
+                   "UnknownBS(solution per_bs has B999, which is no small BS)"]),
+    (("p_first", "p_last"), [
+        "UnknownLink(solution p_first has link 999, which the topology lacks)",
+        "UnknownLink(solution p_last has link 999, which the topology lacks)"]),
+])
+def test_cli_validate_reports_solution_entries_for_unknown_ids(tmp_path, capsys, fields, expected):
+    # a file claiming 1,000,024 Gbps through a BS the topology lacks validated as OK
+    paths = _triple(tmp_path, "--seed", "4", "--pairs", "2", setting="LI-LR(2)")
+    data = json.loads(paths["s"].read_text())
+    for field in fields:
+        extra = {"999": 1e6, "0": 1.0} if field == "per_bs" else {"999": 0.5}
+        data[field] = {**data[field], **extra}
+    code, out = _validate(paths, capsys, s=_claims_recomputed(data))
+    assert code == 1
+    assert out.out.splitlines()[:-2] == expected
+    assert "schedule OK" not in out.out
+
+
+@pytest.mark.parametrize("doc, field, value", [
+    ("s", None, []),
+    *[("s", f, v) for f in ("per_bs", "p_first", "p_last", "min_radio_chains")
+      for v in ([], "x")],
+    ("f", "links", []),
+    ("f", "links", "x"),
+    ("f", "meta", []),
+])
+def test_cli_validate_refuses_a_solution_or_schedule_of_the_wrong_shape(
+    tmp_path, capsys, doc, field, value
+):
+    paths = _triple(tmp_path, "--seed", "4", "--pairs", "2", setting="LI-LR(2)")
+    data = value if field is None else {**json.loads(paths[doc].read_text()), field: value}
+    code, out = _validate(paths, capsys, **{doc: data})
+    assert code == 3
+    assert "schedule OK" not in out.out
+    assert "does not match schema" in out.err and "internal error:" not in out.err
 
 
 def test_cli_validate_passes_its_own_schedule_at_a_high_rate(tmp_path, capsys):

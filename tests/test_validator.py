@@ -125,7 +125,6 @@ def test_interference_overlap_detected():
     sol, sched = _solved(topo, "LI-ER")
     bad = copy.deepcopy(sched)
     bad.links[2] = copy.deepcopy(bad.links[1])  # identical timing on a partner
-    bad.links[2].link_id = 2
     report = validate_schedule(topo, bad)
     assert "InterferenceOverlap" in _kinds(report)
 
@@ -227,7 +226,6 @@ def test_missing_and_unknown_links_reported():
     sol, sched = _solved(topo)
     extra = copy.deepcopy(sched)
     stray = copy.deepcopy(extra.links[1])
-    stray.link_id = 9
     extra.links[9] = stray
     report = validate_schedule(topo, extra)
     assert "UnknownLink" in _kinds(report)

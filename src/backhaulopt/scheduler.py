@@ -16,11 +16,16 @@ chain at either endpoint BS, so other links' active intervals may reuse that
 time. Interfering links must have disjoint footprints; a link's own active
 intervals must never overlap in time even across chains.
 
+A link is placed in three steps, one routine each, shared by lone links, a
+BS's inbound partner and interfering pairs: actives (occupied on the
+parent's chains as they are taken), pause and footprint, child side.
+
 All endpoints are snapped to an integer grid of 1e-12 frame units, making
-interval arithmetic exact; emitted schedules are floats. Each radio chain's
-busy list is merged (sorted, disjoint, adjacent pieces joined) at all times:
-a placed piece is inserted where it belongs and joined to the neighbours it
-touches, never re-merged with the whole list.
+interval arithmetic exact; emitted schedules are floats. A duty limit far
+below 1 magnifies the grid's rounding, and a share the grid cannot realize
+is a PlacementFailure. Each radio chain's busy list is merged (sorted,
+disjoint, adjacent pieces joined) at all times: a placed piece is inserted
+where it belongs and joined to the neighbours it touches, never re-merged.
 """
 
 from __future__ import annotations
@@ -71,7 +76,8 @@ def _merge(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
         if e <= s:
             continue
         if out and s <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], e))
+            if e > out[-1][1]:
+                out[-1] = (out[-1][0], e)
         else:
             out.append((s, e))
     return out
@@ -86,13 +92,14 @@ def _take_free(blocked: list[tuple[int, int]], amount: int):
     for s, e in blocked:
         if amount <= 0 or cur >= GRID:
             break
-        if s > cur:
-            piece = min(amount, min(s, GRID) - cur)
+        if s > cur:  # conditionals, not min and max: this loop runs per chain and step
+            piece = (s if s < GRID else GRID) - cur
+            piece = amount if amount < piece else piece
             taken.append((cur, cur + piece))
             amount -= piece
-        cur = max(cur, e)
+        cur = e if e > cur else cur
     if amount > 0 and cur < GRID:
-        piece = min(amount, GRID - cur)
+        piece = amount if amount < GRID - cur else GRID - cur
         taken.append((cur, cur + piece))
         amount -= piece
     return taken, amount
@@ -101,6 +108,9 @@ def _take_free(blocked: list[tuple[int, int]], amount: int):
 def _insert(busy: list[tuple[int, int]], s: int, e: int) -> None:
     """Add [s, e) to a merged list in place, joining the pieces it touches."""
     if e <= s:
+        return
+    if not busy or busy[-1][1] < s:  # past the last piece: the common case
+        busy.append((s, e))
         return
     lo = bisect_left(busy, (s, s))  # the first piece starting at or after s
     if lo and busy[lo - 1][1] >= s:
@@ -111,45 +121,50 @@ def _insert(busy: list[tuple[int, int]], s: int, e: int) -> None:
     busy[lo:hi] = [(s, e)]
 
 
-def _take_trailing(intervals: list[tuple[int, int]], amount: int):
+def _take_trailing(intervals: list[tuple[int, int]], amount: int) -> list[tuple[int, int]]:
+    """The last min(amount, total) of a merged list's time, ascending."""
     taken = []
     for s, e in reversed(intervals):
         if amount <= 0:
             break
-        piece = min(amount, e - s)
+        piece = amount if amount < e - s else e - s
         taken.append((e - piece, e))
         amount -= piece
-    return sorted(taken), amount
+    taken.reverse()
+    return taken
 
 
 # -- placement state ---------------------------------------------------------
 
 
-@dataclass
-class _LinkPlan:
-    active_need: int  # p_f in grid units
-    footprint_need: int  # p_f / P_f
-    child_need: int  # p_f * P_l / P_f
-    parent_pieces: list[tuple[int, int, int]] = field(default_factory=list)
-    child_pieces: list[tuple[int, int, int]] = field(default_factory=list)
-    active: list[tuple[int, int]] = field(default_factory=list)  # time-domain union
-    pause: list[tuple[int, int]] = field(default_factory=list)
-    footprint: list[tuple[int, int]] = field(default_factory=list)
+class _Plan:
+    """One link's needs in grid units, then what each placement step gave it."""
+
+    __slots__ = ("link", "active_time", "footprint_need", "child_need",
+                 "parent_pieces", "active", "pause", "footprint", "child")
+
+    def __init__(self, link, active_time: int, footprint_need: int, child_need: int):
+        self.link = link
+        self.active_time = active_time  # p_f; once placed, the time placed
+        self.footprint_need = footprint_need  # p_f / P_f
+        self.child_need = child_need  # p_f * P_l / P_f
 
 
 class _State:
     def __init__(self, topology: NetworkTopology):
-        self.topology = topology
         self.busy: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self.line12_overflow: list[int] = []
-
-    def chain_busy(self, bs: int, chain: int) -> list[tuple[int, int]]:
-        return self.busy.get((bs, chain), [])
+        self.budget = {s.id: s.radio_chains for s in topology.stations}
+        self.used = dict.fromkeys(self.budget, 0)  # chains 0 .. used - 1 hold intervals
 
     def occupy(self, bs: int, chain: int, pieces: list[tuple[int, int]]) -> None:
         busy = self.busy.setdefault((bs, chain), [])
         for s, e in pieces:
             _insert(busy, s, e)
+        if busy and chain == self.used[bs]:
+            while self.busy.get((bs, chain)):
+                chain += 1
+            self.used[bs] = chain
 
     def chains_in_use(self, bs: int) -> range:
         """The chains of bs that hold intervals, then the first free one.
@@ -158,121 +173,113 @@ class _State:
         contiguous from 0, and every free chain places like the first free
         one: a station may declare any number of chains at no cost.
         """
-        used = 0
-        while self.busy.get((bs, used)):
-            used += 1
-        return range(min(used + 1, self.topology.station(bs).radio_chains))
+        used, budget = self.used[bs], self.budget[bs]
+        return range(used + 1 if used < budget else budget)
 
     def all_busy(self, bs: int) -> list[tuple[int, int]]:
         """Union of the chains of bs; one busy chain is its own union."""
-        lists = [busy for c in self.chains_in_use(bs) if (busy := self.chain_busy(bs, c))]
+        lists = [self.busy[bs, c] for c in range(min(self.used[bs], self.budget[bs]))]
         return lists[0] if len(lists) == 1 else _merge([p for busy in lists for p in busy])
 
 
-def _plan_for(link, p_first: dict[int, float]) -> _LinkPlan:
+def _plan_for(link, p_first: dict[int, float]) -> _Plan:
     if link.id not in p_first:
         raise MissingLink(f"p_first has no entry for link {link.id}")
     p = float(p_first[link.id])
     if not math.isfinite(p):
         raise NonFiniteInput(f"p_first[{link.id}]={p} is not a finite number")
-    if p < -1e-9 or p > link.p_first_max + 1e-9:
-        raise InconsistentInput(
-            f"p_first[{link.id}]={p} outside [0, {link.p_first_max}]"
-        )
-    p = min(max(p, 0.0), link.p_first_max)
-    a = round(p * GRID)
-    if link.hop_count == 1:
-        return _LinkPlan(active_need=a, footprint_need=a, child_need=a)
-    s = min(round(p / link.p_first_max * GRID), GRID)
-    s = max(s, a)
-    c = round(p * link.p_last_max / link.p_first_max * GRID)
-    if c - (s - a) > TRIM_CAP:  # P_f + P_l > 1: the last hop outlasts the pause
-        raise PlacementFailure(
-            link.id, f"{(c - s + a) / GRID:.3e} of child-side time does not fit the pause"
-        )
-    return _LinkPlan(active_need=a, footprint_need=s, child_need=min(c, s - a))
+    p_f, p_l = link.p_first_max, link.p_last_max
+    if p < -1e-9 or p > p_f + 1e-9:
+        raise InconsistentInput(f"p_first[{link.id}]={p} outside [0, {p_f}]")
+    p = 0.0 if p < 0.0 else p_f if p > p_f else p
+    a = s = c = round(p * GRID)
+    if link.hop_count > 1:
+        s = round(p / p_f * GRID)  # at most GRID, as p <= p_f
+        s = a if s < a else s
+        c = round(p * p_l / p_f * GRID)
+        if c - (s - a) > TRIM_CAP:  # P_f + P_l > 1: the last hop outlasts the pause
+            raise PlacementFailure(link.id, f"{(c - s + a) / GRID:.3e} of child-side time "
+                                   "does not fit the pause")
+        c = c if c < s - a else s - a
+    # the validator wants a/P_f, the footprint and c/P_l each at the share p/P_f;
+    # a duty limit far below 1 magnifies the grid's rounding of a and c
+    share = p / p_f * GRID
+    miss = max(abs(a / p_f - share), abs(s - share), abs(c / p_l - share))
+    if miss > TRIM_CAP:
+        raise PlacementFailure(link.id, f"the frame grid misses its duty share "
+                               f"{share / GRID:.6e} by {miss / GRID:.3e}")
+    return _Plan(link, a, s, c)
 
 
-def _place_actives(state: _State, link, plan: _LinkPlan, forbidden: list[tuple[int, int]]):
-    """First-fit actives over the parent's chains, leftmost gap first.
+def _place_actives(state: _State, plan: _Plan, forbidden: list[tuple[int, int]]):
+    """First-fit actives over the parent's chains, leftmost gap first, each
+    chain's pieces occupied as they are taken.
 
     forbidden covers partner footprints fixed so far; the link's own actives
     on other chains are excluded as they accrue (a link cannot drive two
-    radio chains at the same time).
+    radio chains at the same time). Occupying before the pauses moves no
+    piece: a pair's pauses block both links' actives anyway.
     """
-    bs = link.parent
-    remaining = plan.active_need
+    bs = plan.link.parent
+    remaining = plan.active_time
+    pieces, active = [], []
     for chain in state.chains_in_use(bs):
         if remaining <= 0:
             break
         # every list here is merged already, and so are the pieces of one walk
-        busy = state.chain_busy(bs, chain)
-        blocked = _merge(busy + forbidden + plan.active) if forbidden or plan.active else busy
+        busy = state.busy.get((bs, chain), [])
+        blocked = _merge(busy + forbidden + active) if forbidden or active else busy
         taken, remaining = _take_free(blocked, remaining)
-        for s, e in taken:
-            plan.parent_pieces.append((chain, s, e))
-        plan.active = _merge(plan.active + taken) if plan.active else taken
+        if taken:
+            pieces += [(chain, s, e) for s, e in taken]
+            state.occupy(bs, chain, taken)
+            active = _merge(active + taken) if active else taken
     if remaining > TRIM_CAP:
-        raise PlacementFailure(
-            link.id,
-            f"{remaining / GRID:.3e} of active time found no free radio chain at B{bs}",
-        )
+        raise PlacementFailure(plan.link.id, f"{remaining / GRID:.3e} of active time found "
+                               f"no free radio chain at B{bs}")
+    plan.parent_pieces, plan.active = pieces, active  # pieces ascend by (chain, start)
+    plan.active_time -= remaining
 
 
-def _place_pause(
-    state: _State,
-    link,
-    plan: _LinkPlan,
-    forbidden: list[tuple[int, int]],
-    reuse_first: bool,
-):
+def _place_pause(state: _State, plan: _Plan, forbidden: list[tuple[int, int]], reuse_first: bool):
     """Pause periods: anywhere outside forbidden zones, since paused links
     hold no radio chain. With reuse_first, prefer time already covered by
     other links' actives so blank chain time stays available."""
-    needed = plan.footprint_need - _total(plan.active)
+    needed = plan.footprint_need - plan.active_time
+    active = plan.active
     if needed <= 0:
-        plan.footprint = list(plan.active)
+        plan.pause, plan.footprint = [], active
         return
-    both = forbidden and plan.active
-    blocked = _merge(forbidden + plan.active) if both else forbidden or plan.active
+    blocked = _merge(forbidden + active) if forbidden and active else forbidden or active
     if reuse_first:
         # with the gaps of the covered time blocked too, only covered time is free
-        gaps, _ = _take_free(state.all_busy(link.parent), GRID)
-        first, needed = _take_free(_merge(blocked + gaps), needed)
-        more, needed = _take_free(_merge(blocked + first), needed)
-        taken = _merge(first + more)
+        gaps, _ = _take_free(state.all_busy(plan.link.parent), GRID)
+        taken, needed = _take_free(_merge(blocked + gaps), needed)
+        if needed > 0:
+            more, needed = _take_free(_merge(blocked + taken), needed)
+            taken = _merge(taken + more)
     else:
         taken, needed = _take_free(blocked, needed)
     if needed > TRIM_CAP:
-        raise PlacementFailure(
-            link.id,
-            f"{needed / GRID:.3e} of pause time found no room in the frame",
-        )
-    plan.pause = taken
-    plan.footprint = _merge(plan.active + plan.pause)
+        raise PlacementFailure(plan.link.id, f"{needed / GRID:.3e} of pause time found "
+                               "no room in the frame")
+    plan.pause, plan.footprint = taken, _merge(active + taken)
 
 
-def _finish_link(state: _State, link, plan: _LinkPlan) -> None:
-    """Fix the child-side actives and record chain occupancy at both ends."""
-    if link.hop_count == 1:
+def _finish_link(state: _State, plan: _Plan) -> None:
+    """Fix the child-side actives and occupy them on the child BS's chain 0."""
+    if plan.link.hop_count == 1:
         # one physical link: both endpoint radios are live during the actives
-        plan.child_pieces = [(0, s, e) for _, s, e in sorted(plan.parent_pieces, key=lambda t: t[1])]
+        plan.child = sorted((s, e) for _, s, e in plan.parent_pieces)
     else:
-        pieces, _ = _take_trailing(plan.pause, plan.child_need)
-        plan.child_pieces = [(0, s, e) for s, e in pieces]
-    for chain, s, e in plan.parent_pieces:
-        state.occupy(link.parent, chain, [(s, e)])
-    state.occupy(link.child, 0, [(s, e) for _, s, e in plan.child_pieces])
+        plan.child = _take_trailing(plan.pause, plan.child_need)
+    state.occupy(plan.link.child, 0, plan.child)
 
 
-def _place_link(state, link, plan, forbidden):
-    _place_actives(state, link, plan, forbidden)
-    _place_pause(state, link, plan, forbidden, reuse_first=False)
-    _finish_link(state, link, plan)
-
-
-def _total(intervals: list[tuple[int, int]]) -> int:
-    return sum(e - s for s, e in intervals)
+def _place_link(state: _State, plan: _Plan, forbidden: list[tuple[int, int]]) -> None:
+    _place_actives(state, plan, forbidden)
+    _place_pause(state, plan, forbidden, reuse_first=False)
+    _finish_link(state, plan)
 
 
 def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Schedule:
@@ -280,69 +287,70 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
 
     Raises PlacementFailure when some link's active time cannot be packed
     onto the available radio chains (possible in limited-radio-chain
-    settings; the LP bound is then reported as unrealized). Raises
-    InvalidTopology on a topology that is not a valid tree, interference
-    pairs that break the one-partner-per-BS rule of the placement included.
+    settings; the LP bound is then reported as unrealized) or its duty
+    share cannot be realized on the frame grid. Raises InvalidTopology on a
+    topology that is not a valid tree, interference pairs that break the
+    one-partner-per-BS rule of the placement included.
     """
     if topology.violations:
         raise InvalidTopology(topology.violations)
     state = _State(topology)
     plans = {l.id: _plan_for(l, p_first) for l in topology.links}
+    children: dict[int, list[_Plan]] = {}
+    for plan in plans.values():  # ascending link id
+        children.setdefault(plan.link.parent, []).append(plan)
+    # per BS, its interfering sibling pairs by lower id and the child link
+    # paired with the link into it: one partner per link, by the
+    # one-partner-per-BS rule
+    pairs, paired, inbound_partner = {}, set(), {}
+    for a, b in topology.interference_pairs:  # ascending
+        la, lb = plans[a].link, plans[b].link
+        if la.parent == lb.parent:
+            pairs.setdefault(la.parent, []).append((plans[a], plans[b]))
+            paired |= {a, b}
+        elif la.child == lb.parent:
+            inbound_partner[lb.parent] = plans[b]
+        else:
+            inbound_partner[la.parent] = plans[a]
 
     for bs in topology.subtree(topology.macro.id):
-        children = topology.child_links(bs)
-        remaining = {l.id for l in children}
-        by_id = {l.id: l for l in children}
+        local = children.get(bs)
+        if local is None:
+            continue  # a leaf places nothing
+        first = inbound_partner.get(bs)
+        if first is not None:
+            # the inbound link (id bs) was placed at the parent BS, its
+            # child-side actives are on our chain 0 already, and its partner
+            # among our child links must dodge its whole footprint
+            _place_link(state, first, forbidden=plans[bs].footprint)
+            if any(chain for chain, _, _ in first.parent_pieces):
+                state.line12_overflow.append(first.link.id)
 
-        inbound = topology.inbound_link(bs)
-        if inbound is not None:
-            # the inbound link's schedule was fixed by the parent BS; its
-            # child-side actives are already on our chain 0 (occupied when the
-            # link was placed). Its interference partner among our child
-            # links must dodge the whole inbound footprint.
-            partner = [p for p in topology.partners(inbound.id) if p in remaining]
-            if partner:
-                pid = partner[0]
-                link = by_id[pid]
-                plan = plans[pid]
-                _place_link(state, link, plan, forbidden=plans[inbound.id].footprint)
-                if any(chain > 0 for chain, _, _ in plan.parent_pieces):
-                    state.line12_overflow.append(pid)
-                remaining.discard(pid)
+        # links with no partner among the local links
+        for plan in local:
+            if plan is not first and plan.link.id not in paired:
+                _place_link(state, plan, forbidden=[])
 
-        # links with no partner among the still-unplaced local links
-        for lid in sorted(remaining):
-            if not any(p in remaining and p != lid for p in topology.partners(lid)):
-                _place_link(state, by_id[lid], plans[lid], forbidden=[])
-                remaining.discard(lid)
-
-        # interfering pairs: both actives first, then both pauses; pauses
-        # prefer time already spent by other links so blank chain time is kept
-        while remaining:
-            a = min(remaining)
-            partners = [p for p in topology.partners(a) if p in remaining]
-            b = partners[0]
-            plan_a, plan_b = plans[a], plans[b]
-            _place_actives(state, by_id[a], plan_a, forbidden=[])
-            _place_actives(state, by_id[b], plan_b, forbidden=plan_a.active)
-            _place_pause(state, by_id[a], plan_a, forbidden=plan_b.active, reuse_first=True)
-            _place_pause(state, by_id[b], plan_b, forbidden=plan_a.footprint, reuse_first=True)
-            _finish_link(state, by_id[a], plan_a)
-            _finish_link(state, by_id[b], plan_b)
-            remaining -= {a, b}
+        # interfering pairs, by their lower id: both actives first, then both
+        # pauses; pauses prefer time already spent by other links so blank
+        # chain time is kept
+        for a, b in pairs.get(bs, ()):
+            _place_actives(state, a, forbidden=[])
+            _place_actives(state, b, forbidden=a.active)
+            _place_pause(state, a, forbidden=b.active, reuse_first=True)
+            _place_pause(state, b, forbidden=a.footprint, reuse_first=True)
+            _finish_link(state, a)
+            _finish_link(state, b)
 
     return _emit(state, plans)
 
 
-def _emit(state: _State, plans: dict[int, _LinkPlan]) -> Schedule:
+def _emit(state: _State, plans: dict[int, _Plan]) -> Schedule:
     links = {
         lid: LinkSchedule(
-            footprint=[(s / GRID, e / GRID) for s, e in plan.footprint],
-            parent_side=[
-                (chain, s / GRID, e / GRID)
-                for chain, s, e in sorted(plan.parent_pieces)
-            ],
-            child_side=[(chain, s / GRID, e / GRID) for chain, s, e in plan.child_pieces],
+            [(s / GRID, e / GRID) for s, e in plan.footprint],
+            [(chain, s / GRID, e / GRID) for chain, s, e in plan.parent_pieces],
+            [(0, s / GRID, e / GRID) for s, e in plan.child],
         )
         for lid, plan in plans.items()
     }

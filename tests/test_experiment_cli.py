@@ -659,6 +659,22 @@ def test_cli_schedule_refuses_a_relayed_link_it_would_trim(tmp_path, capsys):
     assert schedule(0.0) == 0
 
 
+def test_cli_schedule_refuses_a_duty_limit_finer_than_the_frame_grid(tmp_path, capsys):
+    # P_f = P_l = 1e-4: the 1e-12 frame grid rounds link 1's active time by
+    # up to 5e-13, which the validator's share checks magnify by 1/P_f = 1e4
+    links = [
+        make_link(1, 0, 1, 2, capacity_gbps=5.0, p_first_max=1e-4, p_last_max=1e-4),
+        make_link(2, 0, 2, 1, phy_rate_gbps=7.0),
+    ]
+    topo, sol = str(tmp_path / "t.json"), str(tmp_path / "s.json")
+    save_topology(helpers.topology(links, [(1, 2)], chains={0: 2, 1: 1, 2: 1}), topo)
+    assert main(["solve", topo, "--setting", "LI-ER", "--out", sol]) == 0
+    capsys.readouterr()
+    assert main(["schedule", topo, sol, "--out", str(tmp_path / "f.json")]) == 2
+    assert "the frame grid misses its duty share" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_experiment_needs_at_least_one_trial(tmp_path, capsys):
     for trials in (0, -3):
         with pytest.raises(BackhaulError):

@@ -1,14 +1,16 @@
 """Property tests: a single bad number in a valid solution or schedule file
 never lets `backhaulopt validate` report a clean schedule or crash, any
 single mutated field of the three input files ends `validate` and `schedule`
-with an exit code rather than an internal error, and a random valid tree
-goes through solve, schedule and validate with no violations."""
+with an exit code rather than an internal error, a random valid tree goes
+through solve, schedule and validate with no violations, and any random
+point that holds the LP's pair and chain rows schedules and validates."""
 
 import contextlib
 import copy
 import io
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from backhaulopt.experiment import SETTING_NAMES
 from backhaulopt.formulations import (
     Interference,
     RadioChains,
+    chain_time,
     parse_setting,
     solution_to_dict,
     solve_equal_demand,
@@ -173,9 +176,9 @@ def test_any_mutated_field_exits_cleanly(files, data):
 
 
 @st.composite
-def trees(draw):
-    """A generated tree of at most 30 small BSs and at most n pairs."""
-    n = draw(st.integers(1, 30))
+def trees(draw, max_small_bs=30):
+    """A generated tree of n <= max_small_bs small BSs and at most n pairs."""
+    n = draw(st.integers(1, max_small_bs))
     degree = draw(st.integers(1, n))
     return generate_topology(
         GeneratorConfig(
@@ -208,3 +211,30 @@ def test_random_trees_round_trip(base):
         claims = derived_field_violations(topo, sol, solution_to_dict(topo, sol))
         assert not claims, (name, [str(v) for v in claims[:3]])
         assert report.realized_equal_demand >= sol.d_b_gbps - 1e-6, name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(base=trees(max_small_bs=40), seed=st.integers(0, 2**32 - 1))
+def test_random_feasible_points_place_and_validate(base, seed):
+    # any p_first that holds the LP's pair rows and, under LR, its chain rows
+    # places, not only the optima: each link runs a random share of its duty
+    # limit (often none or all of it), scaled down until every row holds;
+    # a third of the draws keep the largest such scale, and in about half of
+    # those a pair or chain row is then tight
+    rng = random.Random(seed)
+    bare = strip_interference(base)
+    for name in SETTING_NAMES:
+        setting, k = parse_setting(name)
+        src = bare if setting.interference is Interference.MINIMAL else base
+        topo = adapt_topology(src, setting, macro_chains=k)
+        share = {l.id: rng.choice((0.0, 1.0, rng.random())) for l in topo.links}
+        rows = [(share[a] + share[b], 1.0) for a, b in topo.interference_pairs]
+        if setting.radio_chains is RadioChains.LIMITED:
+            time = chain_time(topo, share)
+            rows += [(time[s.id], s.radio_chains) for s in topo.stations]
+        scale = min([1.0] + [bound / load for load, bound in rows if load > 0.0])
+        if rng.random() >= 1 / 3:
+            scale *= rng.random()
+        p_first = {l.id: l.p_first_max * share[l.id] * scale for l in topo.links}
+        report = validate_schedule(topo, build_schedule(topo, p_first), p_first=p_first)
+        assert report.ok, (name, [str(v) for v in report.violations[:3]])

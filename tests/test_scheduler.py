@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -123,6 +124,28 @@ def test_relayed_link_whose_hops_outlast_the_footprint_fails():
         with pytest.raises(PlacementFailure, match="child-side time"):
             build_schedule(topo, {1: p})
     assert build_schedule(topo, {1: 0.0}).links[1].child_side == []
+
+
+def test_duty_limits_finer_than_the_grid_place_only_what_validates():
+    # below P ~ 1e-3 the grid's rounding of the active time, magnified by
+    # 1/P_f in the validator's share checks, can exceed its tolerance; the
+    # scheduler refuses those fractions instead of writing schedules that
+    # the validator refuses
+    rng = random.Random(5)
+    refused = 0
+    for duty in (1e-6, 1e-4, 1e-3, 0.5):
+        link = make_link(1, 0, 1, 2, capacity_gbps=5.0, p_first_max=duty, p_last_max=duty)
+        topo = helpers.topology([link])
+        for p in [duty, 0.0] + [rng.uniform(0.0, duty) for _ in range(50)]:
+            try:
+                sched = build_schedule(topo, {1: p})
+            except PlacementFailure as err:
+                assert "frame grid" in str(err) and duty < 1e-3, (duty, p)
+                refused += 1
+                continue
+            report = validate_schedule(topo, sched, p_first={1: p}, demands={1: p / duty * 5.0})
+            assert report.ok, (duty, p, [str(v) for v in report.violations])
+    assert refused > 50
 
 
 def test_input_validation():
@@ -298,28 +321,50 @@ def _report_text(topo, schedule, sol):
     return "|".join([*lines, rates, report.realized_equal_demand.hex()])
 
 
+def _hash_case(digest, topo, sol) -> None:
+    """Add one case's schedule JSON and reports to digest. The schedule is
+    validated as built and with one link's footprint replaced by its
+    interference partner's (or, without pairs, by the next link's), which
+    pins the violation text."""
+    try:
+        schedule = build_schedule(topo, sol.p_first)
+    except PlacementFailure:
+        digest.update(b"placement failure")
+        return
+    data = schedule_to_dict(schedule)
+    digest.update(json.dumps(data, sort_keys=True).encode())
+    digest.update(_report_text(topo, schedule, sol).encode())
+    ids = [l.id for l in topo.links]
+    pair = topo.interference_pairs[0] if topo.interference_pairs else ids[:2]
+    if len(pair) == 2:
+        a, b = (str(x) for x in pair)
+        data["links"][b]["footprint"] = [list(iv) for iv in data["links"][a]["footprint"]]
+        tampered = schedule_from_dict(data)
+        digest.update(_report_text(topo, tampered, sol).encode())
+
+
 def test_schedules_and_reports_frozen():
     # schedule JSON and validation reports, byte for byte, for generated
-    # trees up to 200 BSs; each schedule is validated as built and with one
-    # link's footprint replaced by its interference partner's (or, without
-    # pairs, by the next link's), which pins the violation text
+    # trees up to 200 BSs
     digest = hashlib.sha256()
     for topo, sol in _frozen_cases():
-        try:
-            schedule = build_schedule(topo, sol.p_first)
-        except PlacementFailure:
-            digest.update(b"placement failure")
-            continue
-        data = schedule_to_dict(schedule)
-        digest.update(json.dumps(data, sort_keys=True).encode())
-        digest.update(_report_text(topo, schedule, sol).encode())
-        ids = [l.id for l in topo.links]
-        pair = topo.interference_pairs[0] if topo.interference_pairs else ids[:2]
-        if len(pair) == 2:
-            a, b = (str(x) for x in pair)
-            data["links"][b]["footprint"] = [list(iv) for iv in data["links"][a]["footprint"]]
-            tampered = schedule_from_dict(data)
-            digest.update(_report_text(topo, tampered, sol).encode())
+        _hash_case(digest, topo, sol)
     assert digest.hexdigest() == (
         "4ae7829003fa5a80a206f3c175208eb5d35e8502c1705ca0c725df24fefec560"
+    )
+
+
+def test_large_schedules_and_reports_frozen():
+    # the same pin at 400 small BSs with 133 pairs under LI-LR(2), twice the
+    # largest tree above
+    base = generate_topology(
+        GeneratorConfig(seed=1, num_small_bs=400, interference_pair_budget=400 // 3)
+    )
+    setting, k = parse_setting("LI-LR(2)")
+    topo = adapt_topology(base, setting, macro_chains=k)
+    digest = hashlib.sha256()
+    for objective in Objective:
+        _hash_case(digest, topo, solve_objective(topo, setting, objective))
+    assert digest.hexdigest() == (
+        "bff556c9921de5645bb3ab39ca06bddf0560356bb270da91519e9da04d8d8b0a"
     )

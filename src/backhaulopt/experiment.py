@@ -3,7 +3,7 @@
 A trial draws one topology per seed and reuses it across all six settings
 (pairs stripped for MI; chain counts rewritten only for LR(k), as generated
 trees already carry the ER counts), so the settings are compared on identical
-trees. The objectives reuse the reference regime's topology and equal-demand
+trees; the variants share the tree's index and verdict. The objectives reuse the reference regime's topology and equal-demand
 optimum. Outputs are CSV files that the same seed reproduces byte for byte.
 """
 

@@ -146,10 +146,11 @@ def _check_topology(topology: NetworkTopology, setting: Setting) -> None:
     if setting.radio_chains is RadioChains.ENOUGH:
         # a BS's links are its child links plus, on a valid tree, one inbound
         # link for every small BS
+        children = Counter(link.parent for link in topology.links)
         short = [
             s.id
             for s in topology.stations
-            if s.radio_chains < len(topology.child_links(s.id)) + (s.kind == _model.SMALL)
+            if s.radio_chains < children[s.id] + (s.kind == _model.SMALL)
         ]
         if short:
             raise InvalidTopology(
@@ -308,7 +309,8 @@ def solve_equal_demand(topology: NetworkTopology, setting: Setting) -> DemandSol
     same program for an independent check.
     """
     _check_topology(topology, setting)
-    size = {link.id: len(topology.subtree(link.child)) for link in topology.links}
+    spans = [topology.subtree_slice(link.child) for link in topology.links]
+    size = {link.id: span.stop - span.start for link, span in zip(topology.links, spans)}
     # p_i / P_i^f per Gbps of D at the cheapest fractions
     load = {link.id: size[link.id] / link.capacity_gbps for link in topology.links}
     bounds = [link.capacity_gbps / size[link.id] for link in topology.links]

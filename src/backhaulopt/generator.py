@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
@@ -165,7 +166,8 @@ def _draw_pairs(rng: random.Random, links, budget: int) -> list[tuple[int, int]]
 
 
 def strip_interference(topology: NetworkTopology) -> NetworkTopology:
-    return NetworkTopology(topology.stations, topology.links, ())
+    """The topology without interference pairs, sharing its tree index."""
+    return topology._variant(interference_pairs=())
 
 
 def adapt_topology(
@@ -178,8 +180,9 @@ def adapt_topology(
     Enough-radio-chains keeps one chain per attached link; limited keeps a
     single chain per small BS and macro_chains at the macro. The
     interference regime is the caller's concern (see strip_interference).
+    Only the chain counts change, so the result shares the tree index.
     """
-    children = {s.id: len(topology.child_links(s.id)) for s in topology.stations}
+    children = Counter(link.parent for link in topology.links)
     stations = []
     for s in topology.stations:
         if setting.radio_chains is RadioChains.ENOUGH:
@@ -193,4 +196,4 @@ def adapt_topology(
         else:
             count = 1
         stations.append(BaseStation(s.id, s.kind, max(1, count)))
-    return NetworkTopology(stations, topology.links, topology.interference_pairs)
+    return topology._variant(stations=stations)

@@ -59,7 +59,7 @@ def run_pivots(tableau, basis, ncols_enter, tol, max_iter):
         if not improving[col]:
             return OPTIMAL, iters
 
-        rows = np.flatnonzero(T[:, col]).tolist()
+        rows = T[:, col].nonzero()[0].tolist()
         # Bland: of the rows with the least ratio, the smallest basic index
         # leaves. The cost row's entry is negative, so it never qualifies.
         row = -1

@@ -101,6 +101,12 @@ class NetworkTopology:
     Construction never raises on structural garbage; `violations` holds the
     report, computed once, and `subtree` reads an index built by one walk
     from the macro. All other operations assume a valid topology.
+
+    A variant of a topology (new chain counts or a smaller pair list, see
+    generator.adapt_topology and strip_interference) comes from `_variant`
+    and shares its source's link and child indexes; a valid source also
+    lends it the tree index and the empty verdict, so one tree is walked
+    and checked once however many variants it has.
     """
 
     def __init__(
@@ -120,11 +126,48 @@ class NetworkTopology:
         for link in self.links:
             if link.parent in self._children:
                 self._children[link.parent].append(link)
-        self._partners: dict[int, list[int]] = {l.id: [] for l in self.links}
+        self._partners = self._index_partners()
+
+    def _index_partners(self) -> dict[int, list[int]]:
+        partners: dict[int, list[int]] = {l.id: [] for l in self.links}
         for a, b in self.interference_pairs:  # sorted with a <= b, so each list ascends
-            if a in self._partners and b in self._partners:
-                self._partners[a].append(b)
-                self._partners[b].append(a)
+            if a in partners and b in partners:
+                partners[a].append(b)
+                partners[b].append(a)
+        return partners
+
+    def _variant(
+        self,
+        stations: Iterable[BaseStation] | None = None,
+        interference_pairs: tuple[tuple[int, int], ...] | None = None,
+    ) -> NetworkTopology:
+        """This topology with new stations or a new pair list, sharing the rest.
+
+        The caller keeps the station ids and kinds in the source's order,
+        gives every station at least one chain and passes a pair list that
+        is the source's or a part of it, in the sorted form the attribute
+        holds. Then a valid source's variant is valid too: it takes the
+        source's tree index and an empty verdict. An invalid source's
+        variant computes its own.
+        """
+        out = object.__new__(NetworkTopology)
+        out.stations = self.stations if stations is None else tuple(stations)
+        out.links = self.links
+        out.interference_pairs = (
+            self.interference_pairs if interference_pairs is None else interference_pairs
+        )
+        out._station_by_id = (
+            self._station_by_id if stations is None else {s.id: s for s in out.stations}
+        )
+        out._link_by_id = self._link_by_id
+        out._children = self._children
+        out._partners = (
+            self._partners if interference_pairs is None else out._index_partners()
+        )
+        if not self.violations:
+            out.__dict__["_tree"] = self._tree
+            out.__dict__["violations"] = ()
+        return out
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:

@@ -23,7 +23,7 @@ parent's chains as they are taken), pause and footprint, child side.
 All endpoints are snapped to an integer grid of 1e-12 frame units, making
 interval arithmetic exact; emitted schedules are floats. A duty limit far
 below 1 magnifies the grid's rounding, and a share the grid cannot realize
-is a PlacementFailure. Each radio chain's busy list is merged (sorted,
+within the validator's tolerances is a PlacementFailure. Each radio chain's busy list is merged (sorted,
 disjoint, adjacent pieces joined) at all times: a placed piece is inserted
 where it belongs and joined to the neighbours it touches, never re-merged.
 """
@@ -48,6 +48,10 @@ GRID = 10**12
 # units (5e-10 of the frame, half the validator tolerance) is trimmed, larger
 # gaps are honest placement failures.
 TRIM_CAP = 500
+# The validator's TOL_INTERVAL in grid units, and what its float sums of frame
+# times may be off by, 1e-15 of the frame (a few ulps), in grid units at duty 1.
+TOL_GRID = 1000
+FLOAT_SPARE = 1e-3
 
 Interval = tuple[float, float]
 
@@ -201,11 +205,17 @@ def _plan_for(link, p_first: dict[int, float]) -> _Plan:
             raise PlacementFailure(link.id, f"{(c - s + a) / GRID:.3e} of child-side time "
                                    "does not fit the pause")
         c = c if c < s - a else s - a
-    # the validator wants a/P_f, the footprint and c/P_l each at the share p/P_f;
-    # a duty limit far below 1 magnifies the grid's rounding of a and c
+    # the validator compares, in float frame time, the footprint with a/P_f at
+    # TOL_GRID, a/P_f with c/P_l at twice that, and the lesser of the two with
+    # the share p/P_f at TOL_GRID. A duty limit far below 1 magnifies the grid's
+    # rounding of a and c by 1/P, and the float error of those sums just as
+    # much, so each comparison must pass with that error to spare
     share = p / p_f * GRID
-    miss = max(abs(a / p_f - share), abs(s - share), abs(c / p_l - share))
-    if miss > TRIM_CAP:
+    first, last = a / p_f, c / p_l
+    spare = FLOAT_SPARE / min(p_f, p_l)
+    if (abs(s - first) > TOL_GRID - spare or abs(first - last) > 2 * TOL_GRID - spare
+            or share - min(first, last) > TOL_GRID - spare):
+        miss = max(abs(first - share), abs(s - share), abs(last - share))
         raise PlacementFailure(link.id, f"the frame grid misses its duty share "
                                f"{share / GRID:.6e} by {miss / GRID:.3e}")
     return _Plan(link, a, s, c)

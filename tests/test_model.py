@@ -5,10 +5,16 @@ import json
 import pytest
 
 import helpers
-from backhaulopt import model
+from backhaulopt import experiment, model
 from backhaulopt.errors import BackhaulError, InconsistentInput, NonFiniteInput, UnknownBS
-from backhaulopt.experiment import ExperimentConfig, run_trial
-from backhaulopt.generator import GeneratorConfig, generate_topology
+from backhaulopt.experiment import SETTING_NAMES, ExperimentConfig, run_trial
+from backhaulopt.formulations import parse_setting
+from backhaulopt.generator import (
+    GeneratorConfig,
+    adapt_topology,
+    generate_topology,
+    strip_interference,
+)
 from backhaulopt.model import (
     MACRO,
     SMALL,
@@ -259,14 +265,65 @@ def test_tree_index_matches_the_reference_walks():
 
 
 def test_a_trial_validates_each_topology_once(monkeypatch):
-    seen = []
-    reference = model.validate_tree
+    seen, bases = [], []
+    reference, generate = model.validate_tree, experiment.generate_topology
 
     def counting(topology):
-        seen.append(topology)  # held, so no two topologies share an id
+        seen.append(topology)
         return reference(topology)
 
+    def generating(config):
+        bases.append(generate(config))
+        return bases[-1]
+
     monkeypatch.setattr(model, "validate_tree", counting)
+    monkeypatch.setattr(experiment, "generate_topology", generating)
     run_trial(ExperimentConfig(seed=5), 0)
-    # base, its stripped copy and the four LR(k) rewrites
-    assert len({id(t) for t in seen}) == len(seen) == 6
+    # the generated base only: its stripped copy and the four LR(k) rewrites
+    # take its verdict
+    assert len(bases) == len(seen) == 1 and seen[0] is bases[0]
+
+
+def _assert_same_as_fresh(variant):
+    fresh = NetworkTopology(variant.stations, variant.links, variant.interference_pairs)
+    assert variant.violations == fresh.violations
+    assert variant.subtree(variant.macro.id) == fresh.subtree(fresh.macro.id)
+    for s in variant.stations:
+        assert variant.child_links(s.id) == fresh.child_links(s.id)
+        try:
+            span = fresh.subtree_slice(s.id)
+        except UnknownBS:
+            with pytest.raises(UnknownBS):
+                variant.subtree_slice(s.id)
+        else:
+            assert variant.subtree_slice(s.id) == span
+    for link in variant.links:
+        assert variant.partners(link.id) == fresh.partners(link.id)
+
+
+def test_variants_match_a_fresh_topology():
+    invalid = [
+        helpers.chain(hops=(1, 2), chains={1: 0}, pairs=[(1, 2)]),  # a 0-chain BS
+        NetworkTopology(  # two links into B2
+            _STATIONS, [make_link(1, 0, 1, 1), make_link(2, 0, 2, 1), make_link(3, 1, 2, 1)],
+            [(1, 2)],
+        ),
+        helpers.chain(hops=(1, 1), pairs=[(1, 1), (1, 2)]),  # a self pair
+        NetworkTopology(  # link 9 into a B9 that does not exist
+            _STATIONS, [make_link(1, 0, 1, 1), make_link(2, 0, 2, 1), make_link(9, 1, 9, 1)],
+            [(1, 9), (1, 2)],
+        ),
+    ]
+    generated = [
+        generate_topology(GeneratorConfig(seed=n, num_small_bs=n, macro_degree=min(n, 8),
+                                          interference_pair_budget=n // 3))
+        for n in (1, 2, 7, 20, 41)
+    ]
+    assert all(topo.violations for topo in invalid)
+    for source in invalid + generated:
+        bare = strip_interference(source)
+        _assert_same_as_fresh(bare)
+        for name in SETTING_NAMES:
+            setting, macro_chains = parse_setting(name)
+            for topo in (source, bare):
+                _assert_same_as_fresh(adapt_topology(topo, setting, macro_chains=macro_chains))

@@ -35,7 +35,7 @@ from backhaulopt.generator import (
 )
 from backhaulopt.model import make_link
 from backhaulopt.scheduler import build_schedule, schedule_from_dict, schedule_to_dict
-from backhaulopt.validator import validate_schedule
+from backhaulopt.validator import TOL_INTERVAL, validate_schedule
 
 
 def test_two_links_share_one_chain_frozen():
@@ -146,6 +146,32 @@ def test_duty_limits_finer_than_the_grid_place_only_what_validates():
             report = validate_schedule(topo, sched, p_first={1: p}, demands={1: p / duty * 5.0})
             assert report.ok, (duty, p, [str(v) for v in report.violations])
     assert refused > 50
+
+
+def test_the_frame_grid_check_refuses_what_validate_refuses(monkeypatch):
+    # one 2-hop link with P_f = P_l: the check asks of the grid's times what
+    # the validator asks of the schedule, at the validator's tolerances
+    assert scheduler.TOL_GRID / scheduler.GRID == TOL_INTERVAL
+    for duty, refusals in ((5e-4, 1), (1e-4, 154)):
+        link = make_link(1, 0, 1, 2, capacity_gbps=5.0, p_first_max=duty, p_last_max=duty)
+        topo = helpers.topology([link])
+        rng = random.Random(0)
+        refused = 0
+        for p in [rng.uniform(0.0, duty) for _ in range(200)]:
+            try:
+                sched = build_schedule(topo, {1: p})
+            except PlacementFailure as err:
+                assert "frame grid" in str(err)
+                refused += 1
+                with monkeypatch.context() as unchecked:
+                    unchecked.setattr(scheduler, "TOL_GRID", float("inf"))
+                    sched = build_schedule(topo, {1: p})
+                expected = False
+            else:
+                expected = True
+            report = validate_schedule(topo, sched, p_first={1: p}, demands={1: p / duty * 5.0})
+            assert report.ok is expected, (duty, p, [str(v) for v in report.violations])
+        assert refused == refusals
 
 
 def test_input_validation():

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from backhaulopt.errors import (
     InconsistentInput,
@@ -66,8 +66,6 @@ class LinkSchedule:
 @dataclass
 class Schedule:
     links: dict[int, LinkSchedule]
-    per_bs_chains: dict[tuple[int, int], list[Interval]]
-    meta: dict = field(default_factory=dict)
 
 
 # -- exact interval arithmetic on integer grid units ------------------------
@@ -157,7 +155,6 @@ class _Plan:
 class _State:
     def __init__(self, topology: NetworkTopology):
         self.busy: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        self.line12_overflow: list[int] = []
         self.budget = {s.id: s.radio_chains for s in topology.stations}
         self.used = dict.fromkeys(self.budget, 0)  # chains 0 .. used - 1 hold intervals
 
@@ -196,10 +193,10 @@ def _plan_for(link, p_first: dict[int, float]) -> _Plan:
     if p < -1e-9 or p > p_f + 1e-9:
         raise InconsistentInput(f"p_first[{link.id}]={p} outside [0, {p_f}]")
     p = 0.0 if p < 0.0 else p_f if p > p_f else p
-    a = s = c = round(p * GRID)
+    a = c = round(p * GRID)
+    s = round(p / p_f * GRID)  # at most GRID, as p <= p_f
+    s = a if s < a else s
     if link.hop_count > 1:
-        s = round(p / p_f * GRID)  # at most GRID, as p <= p_f
-        s = a if s < a else s
         c = round(p * p_l / p_f * GRID)
         if c - (s - a) > TRIM_CAP:  # P_f + P_l > 1: the last hop outlasts the pause
             raise PlacementFailure(link.id, f"{(c - s + a) / GRID:.3e} of child-side time "
@@ -333,8 +330,6 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
             # child-side actives are on our chain 0 already, and its partner
             # among our child links must dodge its whole footprint
             _place_link(state, first, forbidden=plans[bs].footprint)
-            if any(chain for chain, _, _ in first.parent_pieces):
-                state.line12_overflow.append(first.link.id)
 
         # links with no partner among the local links
         for plan in local:
@@ -352,24 +347,18 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
             _finish_link(state, a)
             _finish_link(state, b)
 
-    return _emit(state, plans)
+    return _emit(plans)
 
 
-def _emit(state: _State, plans: dict[int, _Plan]) -> Schedule:
-    links = {
+def _emit(plans: dict[int, _Plan]) -> Schedule:
+    return Schedule(links={
         lid: LinkSchedule(
             [(s / GRID, e / GRID) for s, e in plan.footprint],
             [(chain, s / GRID, e / GRID) for chain, s, e in plan.parent_pieces],
             [(0, s / GRID, e / GRID) for s, e in plan.child],
         )
         for lid, plan in plans.items()
-    }
-    chains = {
-        key: [(s / GRID, e / GRID) for s, e in intervals]
-        for key, intervals in sorted(state.busy.items())
-    }
-    meta = {"line12_overflow": sorted(state.line12_overflow)}
-    return Schedule(links=links, per_bs_chains=chains, meta=meta)
+    })
 
 
 # -- JSON round-trip ---------------------------------------------------------
@@ -389,11 +378,6 @@ def schedule_to_dict(schedule: Schedule) -> dict:
             }
             for lid, ls in sorted(schedule.links.items())
         },
-        "chains": [
-            {"bs": bs, "chain": chain, "intervals": [[s, e] for s, e in intervals]}
-            for (bs, chain), intervals in sorted(schedule.per_bs_chains.items())
-        ],
-        "meta": schedule.meta,
     }
 
 
@@ -407,13 +391,7 @@ def _link_schedule(entry) -> LinkSchedule:
 
 
 def schedule_from_dict(data: dict) -> Schedule:
+    """Read a schedule dict; top-level keys other than links are ignored, so
+    the chains view and meta of files written by older versions read too."""
     with schema("schedule"):
-        links = json_map(data["links"], _link_schedule)
-        chains = {
-            (json_int(c["bs"]), json_int(c["chain"])): [
-                (json_float(s), json_float(e)) for s, e in c["intervals"]
-            ]
-            for c in data.get("chains", [])
-        }
-        meta = {**data.get("meta", {})}  # a copy; TypeError unless an object
-    return Schedule(links=links, per_bs_chains=chains, meta=meta)
+        return Schedule(links=json_map(data["links"], _link_schedule))

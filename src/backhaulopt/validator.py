@@ -1,9 +1,8 @@
 """Schedule feasibility checking and the check of a solution file's claims.
 
-The checks here recompute everything from the per-link interval lists; the
-schedule's chain-occupancy summary is never trusted. A report carries every
-violation found rather than stopping at the first, so a tampered schedule
-yields a full diagnosis.
+The checks here recompute everything from the per-link interval lists. A
+report carries every violation found rather than stopping at the first, so a
+tampered schedule yields a full diagnosis.
 
 Violation kinds:
 

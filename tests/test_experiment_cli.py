@@ -401,7 +401,6 @@ def test_cli_validate_reports_solution_entries_for_unknown_ids(tmp_path, capsys,
       for v in ([], "x")],
     ("f", "links", []),
     ("f", "links", "x"),
-    ("f", "meta", []),
 ])
 def test_cli_validate_refuses_a_solution_or_schedule_of_the_wrong_shape(
     tmp_path, capsys, doc, field, value
@@ -507,7 +506,7 @@ def _write_detached_cycle(tmp_path):
                                "per_bs": zero, "p_first": zero, "p_last": zero}))
     sched.write_text(json.dumps({"links": {
         str(b): {"footprint": [], "parent_side": [], "child_side": []} for b in (1, 2, 3)
-    }, "chains": [], "meta": {}}))
+    }}))
     return str(topo), str(sol), str(sched)
 
 

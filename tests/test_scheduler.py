@@ -82,11 +82,12 @@ def test_interfering_footprints_stay_disjoint():
 
 def test_inbound_partner_child_dodges_footprint():
     # pair (1, 2) shares B1; link 2 is placed at B1 against the inbound's
-    # whole footprint and must fit the remaining frame on chain 1
+    # whole footprint and fits the rest of the frame on B1's chain 0, the
+    # chain that holds the inbound's child side
     topo = helpers.chain(hops=(2, 2), pairs=[(1, 2)])
     sol = solve_equal_demand(topo, parse_setting("LI-ER")[0])
     sched = build_schedule(topo, sol.p_first)
-    assert sched.meta["line12_overflow"] == []
+    assert {chain for chain, _, _ in sched.links[2].parent_side} == {0}
     report = validate_schedule(topo, sched, p_first=sol.p_first, demands=sol.per_bs)
     assert report.ok, [str(v) for v in report.violations]
 
@@ -124,6 +125,24 @@ def test_relayed_link_whose_hops_outlast_the_footprint_fails():
         with pytest.raises(PlacementFailure, match="child-side time"):
             build_schedule(topo, {1: p})
     assert build_schedule(topo, {1: 0.0}).links[1].child_side == []
+
+
+def test_a_one_hop_link_follows_its_first_link_duty_limit():
+    # a 1-hop link's footprint is its active time over P_f, as a relayed
+    # link's is; its one transmission is both its first and its last link,
+    # so it cannot meet two different duty limits
+    link = make_link(1, 0, 1, 1, capacity_gbps=5.0, p_first_max=0.5, p_last_max=0.5)
+    topo = helpers.topology([link])
+    sol = solve_equal_demand(topo, parse_setting("MI-ER")[0])
+    assert sol.p_first == {1: 0.5}
+    sched = build_schedule(topo, sol.p_first)
+    assert sched.links[1].footprint == [(0.0, 1.0)]
+    report = validate_schedule(topo, sched, p_first=sol.p_first, demands=sol.per_bs)
+    assert report.ok, [str(v) for v in report.violations]
+    link = make_link(1, 0, 1, 1, capacity_gbps=5.0, p_first_max=0.8, p_last_max=0.6)
+    for p in (0.8, 0.4, 1e-6):
+        with pytest.raises(PlacementFailure):
+            build_schedule(helpers.topology([link]), {1: p})
 
 
 def test_duty_limits_finer_than_the_grid_place_only_what_validates():
@@ -229,10 +248,18 @@ def test_schedule_json_round_trip():
     sol = solve_equal_demand(topo, parse_setting("LI-ER")[0])
     sched = build_schedule(topo, sol.p_first)
     data = schedule_to_dict(sched)
+    assert data.keys() == {"links"}
     back = schedule_from_dict(data)
     assert schedule_to_dict(back) == data
     report = validate_schedule(topo, back, p_first=sol.p_first, demands=sol.per_bs)
     assert report.ok
+    # the chains view and meta of older files are ignored, whatever they claim
+    forged = {"chains": [{"bs": 0, "chain": 0, "intervals": [[0, 1]]}],
+              "meta": {"overflow": [1, 2, 3]}}
+    for extra in (forged, {"chains": "x", "meta": []}):
+        old = schedule_from_dict({**data, **extra})
+        assert old == back
+        assert validate_schedule(topo, old, p_first=sol.p_first, demands=sol.per_bs) == report
     with pytest.raises(InconsistentInput):
         schedule_from_dict({"links": {"1": {"footprint": "zap"}}})
 
@@ -376,7 +403,7 @@ def test_schedules_and_reports_frozen():
     for topo, sol in _frozen_cases():
         _hash_case(digest, topo, sol)
     assert digest.hexdigest() == (
-        "4ae7829003fa5a80a206f3c175208eb5d35e8502c1705ca0c725df24fefec560"
+        "0705c2a8594eddb1efe980f27226f999778ed876d07682d706b8cb8a6100ef3b"
     )
 
 
@@ -392,5 +419,5 @@ def test_large_schedules_and_reports_frozen():
     for objective in Objective:
         _hash_case(digest, topo, solve_objective(topo, setting, objective))
     assert digest.hexdigest() == (
-        "bff556c9921de5645bb3ab39ca06bddf0560356bb270da91519e9da04d8d8b0a"
+        "538273bef704e8738ae0ae812f84da93f0d36b41c222478e7060a55356e2cb52"
     )

@@ -221,7 +221,7 @@ def test_fair_floor_bounds_every_small_bs_demand():
 
 def test_missing_and_unknown_links_reported():
     topo = helpers.star(2, hop=1)
-    report = validate_schedule(topo, Schedule(links={}, per_bs_chains={}))
+    report = validate_schedule(topo, Schedule(links={}))
     assert _kinds(report) == {"MissingLink"}
     sol, sched = _solved(topo)
     extra = copy.deepcopy(sched)

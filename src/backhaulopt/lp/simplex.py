@@ -82,9 +82,14 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
 
     # phase 1: minimize the sum of artificial variables
     if n_art:
-        # one row at a time: a sum over the rows would round differently
-        for r in art_rows:
-            T[m, :] -= T[r, :]
+        # the negated sum of the artificial rows. A reduction over axis 0 adds
+        # the rows in row order, and -(a + b) is (-a) - b exactly, so this is
+        # the row that subtracting them one at a time from zero gives, bit
+        # for bit; 0.0 - makes each zero +0.0, as that subtraction does. The
+        # rows of a demand LP are one block, read as a view, not copied
+        lo, hi = art_rows[0], art_rows[-1] + 1
+        art = T[lo:hi] if hi - lo == n_art else T[art_rows]
+        T[m, :] = 0.0 - np.add.reduce(art, axis=0)
         code, iters = kernel.run_pivots(T, basis, n + n_slack, PIVOT_TOL, max_iter)
         iterations += iters
         if code == _kernel_py.ITERATION_LIMIT:

@@ -212,6 +212,10 @@ def _plan_for(link, p_first: dict[int, float]) -> _Plan:
     spare = FLOAT_SPARE / min(p_f, p_l)
     if (abs(s - first) > TOL_GRID - spare or abs(first - last) > 2 * TOL_GRID - spare
             or share - min(first, last) > TOL_GRID - spare):
+        if link.hop_count == 1 and p_f != p_l:
+            # its one transmission is its first and its last link at once
+            raise PlacementFailure(link.id, f"a 1-hop link cannot keep two duty limits, "
+                                   f"p_first_max={p_f:.6g} and p_last_max={p_l:.6g}")
         miss = max(abs(first - share), abs(s - share), abs(last - share))
         raise PlacementFailure(link.id, f"the frame grid misses its duty share "
                                f"{share / GRID:.6e} by {miss / GRID:.3e}")
@@ -382,11 +386,23 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 
 def _pieces(side) -> list[tuple[int, float, float]]:
-    return [(json_int(p["chain"]), json_float(p["start"]), json_float(p["end"])) for p in side]
+    # an int chain or a float time is taken as it is; json_int and json_float
+    # decide any other value, in the order of the fields
+    return [
+        (
+            c if type(c := p["chain"]) is int else json_int(c),
+            s if type(s := p["start"]) is float else json_float(s),
+            e if type(e := p["end"]) is float else json_float(e),
+        )
+        for p in side
+    ]
 
 
 def _link_schedule(entry) -> LinkSchedule:
-    footprint = [(json_float(s), json_float(e)) for s, e in entry["footprint"]]
+    footprint = [
+        (s if type(s) is float else json_float(s), e if type(e) is float else json_float(e))
+        for s, e in entry["footprint"]
+    ]
     return LinkSchedule(footprint, _pieces(entry["parent_side"]), _pieces(entry["child_side"]))
 
 

@@ -30,6 +30,11 @@ Violation kinds:
 
 Every comparison of the schedule is in frame time at TOL_INTERVAL, rates
 too: a link that carries D Gbps at capacity C must run D/C of the frame.
+
+Most footprints and sides hold one piece. validate_schedule measures such a
+list, and intersects a one-piece side with a one-piece footprint, in its
+per-link loop with the comparisons _merge, _total, _bad_geometry and _overlap
+make of one piece; _measure and _overlap take every other list.
 """
 
 from __future__ import annotations
@@ -138,14 +143,11 @@ def _bad_geometry(intervals: list[Interval]) -> bool:
 def _measure(intervals: list[Interval]) -> tuple[list[Interval], float, float, bool]:
     """One interval list's merged pieces, their total, the total of the pieces
     as given, and its _bad_geometry verdict. The raw total is summed only
-    when the merge dropped or joined a piece; otherwise it is the merged one."""
+    when the merge dropped or joined a piece; otherwise it is the merged one.
+    validate_schedule measures a one-piece list itself."""
     if not intervals:
         return [], 0.0, 0.0, False
     bad = _bad_geometry(intervals)
-    if len(intervals) == 1:
-        ((s, e),) = intervals
-        length = (e - s) + 0.0
-        return ([], 0.0, length, bad) if e <= s else ([(s, e)], length, length, bad)
     merged = _merge(intervals)
     total = _total(merged)
     return merged, total, (_total(intervals) if len(merged) < len(intervals) else total), bad
@@ -187,7 +189,18 @@ def validate_schedule(
             add("MissingLink", f"no schedule entry for link {link.id}")
             continue
 
-        footprint, footprint_total, raw_total, bad = _measure(entry.footprint)
+        # one piece, the common case, is measured here by the comparisons
+        # _merge, _total and _bad_geometry make of one piece (negated, so a
+        # NaN is bad); _measure takes every other list
+        footprint = entry.footprint
+        if len(footprint) == 1:
+            ((s, e),) = footprint
+            footprint_total = raw_total = (e - s) + 0.0
+            bad = not (-TOL_INTERVAL <= s and s - TOL_INTERVAL <= e <= 1.0 + TOL_INTERVAL)
+            if e <= s:
+                footprint, footprint_total = [], 0.0
+        else:
+            footprint, footprint_total, raw_total, bad = _measure(footprint)
         footprints[link.id] = footprint
         if bad:
             add("FootprintMismatch", f"link {link.id} footprint leaves the frame")
@@ -210,12 +223,29 @@ def validate_schedule(
                         f"which has {chains} radio chains",
                     )
                 chain_claims[bs, chain].append((s, e, link.id))
-            side, merged_total, raw_total, bad = _measure([(s, e) for _, s, e in pieces])
+            if len(pieces) == 1:
+                # s and e are the one piece's; it meets a one-piece footprint
+                # by _overlap's own max and min
+                merged_total = raw_total = (e - s) + 0.0
+                bad = not (-TOL_INTERVAL <= s and s - TOL_INTERVAL <= e <= 1.0 + TOL_INTERVAL)
+                if e <= s:
+                    side, merged_total, covered = [], 0.0, 0.0
+                else:
+                    side = [(s, e)]
+                    if len(footprint) == 1:
+                        ((fs, fe),) = footprint
+                        lo, hi = fs if fs > s else s, fe if fe < e else e
+                        covered = hi - lo if lo < hi else 0.0
+                    else:
+                        covered = _overlap(side, footprint)
+            else:
+                side, merged_total, raw_total, bad = _measure([(s, e) for _, s, e in pieces])
+                covered = _overlap(side, footprint)
             merged.append(side)
             active.append(raw_total)
             if bad:
                 add("ActiveOutsideFootprint", f"link {link.id} {label} leaves the frame")
-            uncovered = merged_total - _overlap(side, footprint)
+            uncovered = merged_total - covered
             if uncovered > TOL_INTERVAL:
                 add(
                     "ActiveOutsideFootprint",
@@ -260,7 +290,8 @@ def validate_schedule(
         share = shares[link.id] = min(pf / link.p_first_max, pl / link.p_last_max)
         report.realized_rates[link.id] = share * link.capacity_gbps
 
-    for (bs, chain), claims in sorted(chain_claims.items()):
+    doubled = {}  # (bs, chain) -> the time two transmissions share
+    for key, claims in chain_claims.items():
         # a single-hop link's one transmission engages radios at both BSs, so
         # its parent and child claims land at different stations and never
         # collide here; distinct links sharing a chain must take turns
@@ -270,12 +301,14 @@ def validate_schedule(
         union = _merge(times)
         spare = _total(times) - _total(union) if len(union) < len(times) else 0.0
         if spare > TOL_INTERVAL:
-            owners = sorted({lid for _, _, lid in claims})
-            add(
-                "ChainOverlap",
-                f"chain {chain} at B{bs} is double-driven for {spare:.3e} "
-                f"(links {owners})",
-            )
+            doubled[key] = spare
+    for bs, chain in sorted(doubled):  # only the reported keys are sorted
+        owners = sorted({lid for _, _, lid in chain_claims[bs, chain]})
+        add(
+            "ChainOverlap",
+            f"chain {chain} at B{bs} is double-driven for {doubled[bs, chain]:.3e} "
+            f"(links {owners})",
+        )
 
     for a, b in topology.interference_pairs:
         cross = _overlap(footprints.get(a, []), footprints.get(b, []))

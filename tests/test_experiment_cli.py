@@ -277,6 +277,70 @@ def _triple(tmp_path, *generate_flags, setting="MI-ER", objective="equal_demand"
     return paths
 
 
+# every number field a reader takes: file, path in it, and integer or number
+NUMBER_FIELDS = {
+    "piece chain": ("f", ("links", "2", "parent_side", 0, "chain"), "integer"),
+    "piece start": ("f", ("links", "2", "parent_side", 0, "start"), "number"),
+    "piece end": ("f", ("links", "2", "child_side", 0, "end"), "number"),
+    "footprint start": ("f", ("links", "2", "footprint", 0, 0), "number"),
+    "footprint end": ("f", ("links", "2", "footprint", 0, 1), "number"),
+    "station id": ("t", ("stations", 1, "id"), "integer"),
+    "radio_chains": ("t", ("stations", 1, "radio_chains"), "integer"),
+    "link id": ("t", ("links", 1, "id"), "integer"),
+    "parent": ("t", ("links", 1, "parent"), "integer"),
+    "child": ("t", ("links", 1, "child"), "integer"),
+    "hops": ("t", ("links", 1, "hops"), "integer"),
+    "phy_rate_gbps": ("t", ("links", 1, "phy_rate_gbps"), "number"),
+    "capacity_gbps": ("t", ("links", 1, "capacity_gbps"), "number"),
+    "p_first_max": ("t", ("links", 1, "p_first_max"), "number"),
+    "p_last_max": ("t", ("links", 1, "p_last_max"), "number"),
+    "interference": ("t", ("interference", 0, 1), "integer"),
+    "per_bs": ("s", ("per_bs", "2"), "number"),
+    "p_first": ("s", ("p_first", "2"), "number"),
+    "p_last": ("s", ("p_last", "2"), "number"),
+    "min_radio_chains": ("s", ("min_radio_chains", "2"), "integer"),
+}
+MALFORMED = {"true": True, "str": "0.5", "null": None, "big": 10**400, "list": []}
+# a 400-digit integer is a JSON integer, so an id or count reads it and the
+# files are judged with it: these exit codes, the same as every other output
+# here, were recorded before the readers took an int or a float without a call
+BIG_ID_EXITS = {
+    "piece chain": 1, "station id": 2, "radio_chains": 0, "link id": 2, "parent": 2,
+    "child": 2, "hops": 0, "interference": 2, "min_radio_chains": 1,
+}
+
+
+def test_cli_validate_refuses_every_malformed_number_as_before(tmp_path, capsys):
+    paths = _triple(tmp_path, "--seed", "7", "--pairs", "2", setting="LI-ER")
+    clean = {n: p.read_text() for n, p in paths.items()}
+    reader = {"t": "topology", "s": "solution", "f": "schedule"}
+    digest = hashlib.sha256()
+    for field, (doc, path, kind) in NUMBER_FIELDS.items():
+        for name, value in MALFORMED.items():
+            docs = {n: json.loads(text) for n, text in clean.items()}
+            node = docs[doc]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            for n, p in paths.items():
+                p.write_text(json.dumps(docs[n]))
+            capsys.readouterr()
+            code = main(["validate", *map(str, paths.values())])
+            out, err = capsys.readouterr()
+            digest.update(f"{field}/{name}\n{code}\n{out}{err}".encode())
+            if kind == "integer" and name == "big":
+                assert code == BIG_ID_EXITS[field], (field, out, err)
+                continue
+            reason = ("integer out of the float range" if name == "big"
+                      else f"{value!r} is not a JSON {kind}")
+            want = f"error: {reader[doc]} JSON does not match schema: {reason}\n"
+            assert (code, out, err) == (3, "", want), (field, name)
+    # every exit code and message, the 400-digit ids' reports included
+    assert digest.hexdigest() == (
+        "0b5c50054bdc70f7ed7650f09c27693fac3e6d8a7510a798f43f49bd4e751569"
+    )
+
+
 def _validate_solution(paths, solution, capsys):
     paths["s"].write_text(json.dumps(solution))
     capsys.readouterr()
@@ -655,6 +719,27 @@ def test_cli_schedule_refuses_a_relayed_link_it_would_trim(tmp_path, capsys):
 
     assert schedule(0.8) == 2
     assert "no feasible placement for link 1" in capsys.readouterr().err
+    assert schedule(0.0) == 0
+
+
+def test_cli_schedule_names_the_two_duty_limits_of_a_one_hop_link(tmp_path, capsys):
+    # its one transmission is its first and its last link, so P_f != P_l
+    # cannot both hold; the refusal names them, not the frame grid
+    link = make_link(1, 0, 1, 1, capacity_gbps=5.0, p_first_max=0.8, p_last_max=0.6)
+    topo, sol = tmp_path / "t.json", tmp_path / "s.json"
+    save_topology(helpers.topology([link]), str(topo))
+
+    def schedule(p):
+        sol.write_text(json.dumps({
+            "objective": "equal_demand", "per_bs": {"1": 0.0},
+            "p_first": {"1": p}, "p_last": {"1": 0.75 * p},
+        }))
+        capsys.readouterr()
+        return main(["schedule", str(topo), str(sol)])
+
+    assert schedule(0.4) == 2
+    err = capsys.readouterr().err
+    assert "p_first_max=0.8 and p_last_max=0.6" in err and "frame grid" not in err
     assert schedule(0.0) == 0
 
 

@@ -416,6 +416,36 @@ def test_pivot_path_matches_the_reference_loop():
     assert side.reference.tied > 0
 
 
+class _PhaseOneRow:
+    """Checks the cost row phase 1 starts from against the artificial rows
+    subtracted from zero one at a time, then runs the package kernel."""
+
+    def __init__(self):
+        self.blocks = []  # per phase 1: whether its artificial rows are one block
+
+    def run_pivots(self, tableau, basis, ncols_enter, tol, max_iter):
+        art_rows = np.flatnonzero(basis >= ncols_enter)
+        if art_rows.size:  # only phase 1 starts with artificial basics
+            want = np.zeros(tableau.shape[1])
+            for r in art_rows:
+                want -= tableau[r, :]
+            assert tableau[-1].tobytes() == want.tobytes()
+            self.blocks.append(art_rows[-1] - art_rows[0] + 1 == art_rows.size)
+        return _kernel_py.run_pivots(tableau, basis, ncols_enter, tol, max_iter)
+
+
+def test_phase_one_cost_row_matches_the_row_by_row_loop():
+    # one reduction over the artificial rows gives the loop's row bit for bit,
+    # whether they are one block of the tableau or scattered through it
+    rng = np.random.default_rng(42)
+    lps = [_random_lp(rng) for _ in range(150)] + [*_formulation_lps(3).values()]
+    kernel = _PhaseOneRow()
+    for lp in lps:
+        solve(lp, kernel=kernel)
+    assert len(kernel.blocks) > 100
+    assert kernel.blocks.count(False) > 10 and kernel.blocks[-3:] == [True] * 3
+
+
 class _StuckKernel:
     """Stops every pivot loop at once, reporting the iteration limit."""
 

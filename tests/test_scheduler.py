@@ -140,9 +140,15 @@ def test_a_one_hop_link_follows_its_first_link_duty_limit():
     report = validate_schedule(topo, sched, p_first=sol.p_first, demands=sol.per_bs)
     assert report.ok, [str(v) for v in report.violations]
     link = make_link(1, 0, 1, 1, capacity_gbps=5.0, p_first_max=0.8, p_last_max=0.6)
+    topo = helpers.topology([link])
     for p in (0.8, 0.4, 1e-6):
-        with pytest.raises(PlacementFailure):
-            build_schedule(helpers.topology([link]), {1: p})
+        with pytest.raises(PlacementFailure, match="p_first_max=0.8 and p_last_max=0.6"):
+            build_schedule(topo, {1: p})
+    # no time, or too little for the two limits to part by the validator's
+    # tolerance, places and validates
+    for p in (0.0, 1e-9):
+        report = validate_schedule(topo, build_schedule(topo, {1: p}), p_first={1: p})
+        assert report.ok, (p, [str(v) for v in report.violations])
 
 
 def test_duty_limits_finer_than_the_grid_place_only_what_validates():

@@ -27,7 +27,8 @@ from backhaulopt.generator import (
     generate_topology,
     strip_interference,
 )
-from backhaulopt.scheduler import Schedule, build_schedule, schedule_to_dict
+from backhaulopt.model import make_link
+from backhaulopt.scheduler import LinkSchedule, Schedule, build_schedule, schedule_to_dict
 from backhaulopt.validator import derived_field_violations, jain_index, validate_schedule
 
 
@@ -356,6 +357,61 @@ def test_measure_matches_the_separate_passes(intervals):
     # a merge that dropped and joined nothing only reordered the pieces
     assert _same(raw, oracles.validator_total(intervals))
     assert bad == oracles.validator_bad_geometry(intervals)
+
+
+# a 1-hop and a 2-hop link from the macro, interfering with each other
+ONE_PIECE_TOPOLOGY = helpers.topology([
+    make_link(1, 0, 1, 1, phy_rate_gbps=helpers.RATE),
+    make_link(2, 0, 2, 2, capacity_gbps=2.0, p_first_max=0.5, p_last_max=0.5),
+], pairs=[(1, 2)])
+
+
+def _one_piece_and_general(lists, chain, p_first):
+    """The reports on one-piece lists, and on the same lists with an empty
+    piece inside the frame added to each: that sends every list through
+    _measure and _overlap and changes nothing they report, as the merge drops
+    it and its zero length adds nothing to a total or a chain's shared time."""
+
+    def report(extra):
+        links = {}
+        for lid, (fp, parent, child) in zip((1, 2), (lists[:3], lists[3:])):
+            c = chain if lid == 2 else 0
+            links[lid] = LinkSchedule(
+                [fp, *extra],
+                [(c, *parent), *[(c, *piece) for piece in extra]],
+                [(0, *child), *[(0, *piece) for piece in extra]],
+            )
+        r = validate_schedule(ONE_PIECE_TOPOLOGY, Schedule(links), p_first=p_first,
+                              demands=None if p_first is None else {1: 1.0, 2: 0.5})
+        return [str(v) for v in r.violations], repr(r.realized_rates), repr(r.realized_equal_demand)
+
+    return report([]), report([(0.5, 0.5)])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    lists=st.lists(st.tuples(ENDPOINTS, ENDPOINTS), min_size=6, max_size=6),
+    chain=st.sampled_from([0, 1]),
+    p_first=st.none() | st.fixed_dictionaries({1: ENDPOINTS, 2: ENDPOINTS}),
+)
+def test_one_piece_lists_judge_as_through_measure_and_overlap(lists, chain, p_first):
+    # validate_schedule measures a one-piece footprint or side, and meets a
+    # one-piece side with a one-piece footprint, in its own loop: totals,
+    # coverage and geometry verdicts, so every report, are the general path's
+    one, general = _one_piece_and_general(lists, chain, p_first)
+    assert one == general
+
+
+def test_one_piece_lists_judge_every_kind_of_piece_as_the_general_path():
+    # every footprint, parent side and child side of link 1 drawn from finite,
+    # NaN, infinite, reversed, empty and out-of-frame pieces
+    cases = [(0.1, 0.4), (math.nan, 0.3), (0.2, math.nan), (-math.inf, math.inf),
+             (0.0, math.inf), (0.6, 0.2), (0.3, 0.3), (-0.5, 0.2), (0.9, 1.5),
+             (1e308, -1e308), (-0.0, 0.0)]
+    link_2 = [(0.0, 0.5), (0.0, 0.25), (0.25, 0.5)]
+    for lists in itertools.product(cases, repeat=3):
+        one, general = _one_piece_and_general([*lists, *link_2], 1, {1: 0.3, 2: 0.25})
+        assert one == general, lists
 
 
 def test_nan_solution_is_flagged():

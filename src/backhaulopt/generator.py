@@ -62,9 +62,8 @@ def _check_config(config: GeneratorConfig) -> None:
         raise InfeasibleConfig("hop_distribution weights sum to zero")
 
 
-def _draw_hops(rng: random.Random, distribution: dict[int, float]) -> int:
-    items = sorted(distribution.items())
-    total = sum(w for _, w in items)
+def _draw_hops(rng: random.Random, items: list[tuple[int, float]], total: float) -> int:
+    """One hop count from the (hops, weight) items, ascending hops, that sum to total."""
     r = rng.random() * total
     acc = 0.0
     for hops, weight in items:
@@ -105,12 +104,14 @@ def generate_topology(config: GeneratorConfig) -> NetworkTopology:
         if config.max_small_children > 0:
             bisect.insort(eligible, bs)
 
+    hop_items = sorted(config.hop_distribution.items())  # sorted and summed once per tree
+    hop_total = sum(w for _, w in hop_items)
     links = [
         make_link(
             link_id=bs,
             parent=parent_of[bs],
             child=bs,
-            hop_count=_draw_hops(rng, config.hop_distribution),
+            hop_count=_draw_hops(rng, hop_items, hop_total),
             phy_rate_gbps=config.phy_rate_gbps,
         )
         for bs in sorted(parent_of)

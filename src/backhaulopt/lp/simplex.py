@@ -14,7 +14,14 @@ from backhaulopt.lp.problem import LinearProgram, LpSolution, LpStatus, Relation
 
 PIVOT_TOL = 1e-9
 
-_SENSE = {Relation.LE: 1.0, Relation.GE: -1.0, Relation.EQ: 0.0}
+
+def _senses(relations) -> np.ndarray:
+    """+1.0 for each <= row, -1.0 for each >= row and 0.0 for each = row.
+
+    Told apart by identity: hashing an Enum member runs Python code, so a
+    dict lookup per row costs about four times as much."""
+    le, ge = Relation.LE, Relation.GE
+    return np.array([1.0 if rel is le else -1.0 if rel is ge else 0.0 for rel in relations])
 
 
 def active_kernel():
@@ -49,8 +56,9 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
     if shift.any():
         rhs[:k] -= [row.dot(shift) for row in lp.matrix]
     rhs[k:] = lp.upper[bounded] - shift[bounded]
+    row_sense = _senses(lp.relations)  # mapped once: the residual reads it too
     sense = np.ones(m)
-    sense[:k] = [_SENSE[rel] for rel in lp.relations]
+    sense[:k] = row_sense
 
     # normalize right-hand sides to be nonnegative
     flip = rhs < 0
@@ -138,7 +146,7 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
     y[(y < 0) & (y > -1e-9)] = 0.0
     x = y[:n] + shift
     value = float(lp.objective @ x)
-    residual = _max_violation(lp, x)
+    residual = _max_violation(lp, x, row_sense)
     if residual > PIVOT_TOL * rhs_scale:
         raise SolverFailure(f"simplex optimum violates the constraints by {residual:.3g}")
     return LpSolution(
@@ -150,12 +158,12 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
     )
 
 
-def _max_violation(lp: LinearProgram, x: np.ndarray) -> float:
-    """Largest constraint/bound violation of x (diagnostic)."""
+def _max_violation(lp: LinearProgram, x: np.ndarray, sense: np.ndarray) -> float:
+    """Largest constraint/bound violation of x (diagnostic); sense is
+    _senses(lp.relations)."""
     # one dot product per row, as in the rhs shift: a matrix product would
     # round the left-hand sides differently
     excess = np.array([row.dot(x) for row in lp.matrix]) - lp.rhs
-    sense = np.array([_SENSE[rel] for rel in lp.relations])
     excess = np.where(sense == 0.0, np.abs(excess), sense * excess)
     worst = max(0.0, float(np.max(excess, initial=0.0)))  # +0.0, never -0.0
     worst = max(worst, float(np.max(lp.lower - x, initial=0.0)))

@@ -23,7 +23,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -34,14 +34,32 @@ MACRO = "macro"
 SMALL = "small"
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls) -> tuple:
+    """The __set__ of each field's slot, in field order.
+
+    BaseStation and LogicalLink are frozen slotted dataclasses whose own
+    __init__ stores each field through these: the generated one makes an
+    object.__setattr__ call per field, and a tree builds hundreds of records.
+    """
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class BaseStation:
     id: int
     kind: str  # MACRO or SMALL
     radio_chains: int
 
+    def __init__(self, id: int, kind: str, radio_chains: int) -> None:
+        _set_bs_id(self, id)
+        _set_bs_kind(self, kind)
+        _set_bs_radio_chains(self, radio_chains)
 
-@dataclass(frozen=True, slots=True)
+
+_set_bs_id, _set_bs_kind, _set_bs_radio_chains = _slot_setters(BaseStation)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class LogicalLink:
     """Inbound logical link of base station `child` (id == child).
 
@@ -58,6 +76,38 @@ class LogicalLink:
     capacity_gbps: float
     p_first_max: float
     p_last_max: float
+
+    def __init__(
+        self,
+        id: int,
+        parent: int,
+        child: int,
+        hop_count: int,
+        phy_rate_gbps: float,
+        capacity_gbps: float,
+        p_first_max: float,
+        p_last_max: float,
+    ) -> None:
+        _set_link_id(self, id)
+        _set_link_parent(self, parent)
+        _set_link_child(self, child)
+        _set_link_hop_count(self, hop_count)
+        _set_link_phy_rate_gbps(self, phy_rate_gbps)
+        _set_link_capacity_gbps(self, capacity_gbps)
+        _set_link_p_first_max(self, p_first_max)
+        _set_link_p_last_max(self, p_last_max)
+
+
+(
+    _set_link_id,
+    _set_link_parent,
+    _set_link_child,
+    _set_link_hop_count,
+    _set_link_phy_rate_gbps,
+    _set_link_capacity_gbps,
+    _set_link_p_first_max,
+    _set_link_p_last_max,
+) = _slot_setters(LogicalLink)
 
 
 @dataclass(frozen=True)
@@ -181,14 +231,17 @@ class NetworkTopology:
 
     @cached_property
     def _tree(self) -> tuple[tuple[int, ...], dict[int, slice]]:
+        children, stations = self._children, self._station_by_id
         order, via, stack = [], {}, [(s.id, None) for s in self.stations if s.kind == MACRO][:1]
+        push = stack.append
         while stack:
             bs, parent = stack.pop()
             if bs not in via:  # a cyclic topology must not hang us
                 via[bs] = parent  # the BS whose link the walk took to bs
                 order.append(bs)
-                stack += [(l.child, bs) for l in reversed(self._children.get(bs, ()))
-                          if l.child in self._station_by_id]  # a missing BS is no leaf
+                for l in reversed(children.get(bs, ())):
+                    if l.child in stations:  # a missing BS is no leaf
+                        push((l.child, bs))
         size = dict.fromkeys(order, 1)
         for bs in reversed(order[1:]):
             size[via[bs]] += size[bs]
@@ -344,15 +397,16 @@ def validate_interference_model(topology: NetworkTopology) -> list[Violation]:
     to that same BS (so a link has at most two partners overall, one per end).
     """
     out: list[Violation] = []
+    links = topology._link_by_id
     partner_at: dict[tuple[int, int], list[int]] = {}
     for a, b in topology.interference_pairs:
         if a == b:
             out.append(Violation("SelfPair", f"link {a}"))
             continue
-        if not topology.has_link(a) or not topology.has_link(b):
+        la, lb = links.get(a), links.get(b)
+        if la is None or lb is None:
             out.append(Violation("UnknownLink", f"pair ({a}, {b})"))
             continue
-        la, lb = topology.link(a), topology.link(b)
         shared = {la.parent, la.child} & {lb.parent, lb.child}
         if not shared:
             out.append(Violation("NoSharedBS", f"pair ({a}, {b})"))
@@ -360,14 +414,14 @@ def validate_interference_model(topology: NetworkTopology) -> list[Violation]:
         for bs in shared:
             partner_at.setdefault((bs, a), []).append(b)
             partner_at.setdefault((bs, b), []).append(a)
-    for (bs, link_id), partners in sorted(partner_at.items()):
-        if len(partners) > 1:
-            out.append(
-                Violation(
-                    "TooManyPartnersAtBS",
-                    f"B{bs}, link {link_id} paired with links {sorted(partners)}",
-                )
+    crowded = [key for key, partners in partner_at.items() if len(partners) > 1]
+    for bs, link_id in sorted(crowded):  # only the reported keys are sorted
+        out.append(
+            Violation(
+                "TooManyPartnersAtBS",
+                f"B{bs}, link {link_id} paired with links {sorted(partner_at[bs, link_id])}",
             )
+        )
     return out
 
 

@@ -34,7 +34,10 @@ too: a link that carries D Gbps at capacity C must run D/C of the frame.
 Most footprints and sides hold one piece. validate_schedule measures such a
 list, and intersects a one-piece side with a one-piece footprint, in its
 per-link loop with the comparisons _merge, _total, _bad_geometry and _overlap
-make of one piece; _measure and _overlap take every other list.
+make of one piece; _measure and _overlap take every other list. The chain
+double-drive check sweeps each chain's sorted claims once, and merges and
+totals only the chains where that sweep finds shared time or a piece that
+is empty or outside the frame.
 """
 
 from __future__ import annotations
@@ -297,6 +300,18 @@ def validate_schedule(
         # collide here; distinct links sharing a chain must take turns
         if len(claims) == 1:
             continue  # one transmission cannot collide with itself
+        # one sweep of the sorted claims: pieces that are non-empty, in the
+        # frame and each at or after the end of the one before share no time,
+        # and their summed lengths differ from the union's by a few ulps at
+        # most, so no spare can pass TOL_INTERVAL. Negated, so a NaN fails
+        end = -TOL_INTERVAL
+        for s, e, _ in sorted(claims):
+            if not end <= s < e <= 1.0 + TOL_INTERVAL:
+                break
+            end = e
+        else:
+            continue
+        # any other key is merged and totalled, its claims in the order given
         times = [(s, e) for s, e, _ in claims]
         union = _merge(times)
         spare = _total(times) - _total(union) if len(union) < len(times) else 0.0

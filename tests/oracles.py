@@ -4,7 +4,8 @@ Everything here is closed-form arithmetic, brute-force enumeration over
 basic solutions, a plain Bland-rule pivot loop, a full-rescan replay of the
 topology generator, the demand LP built one Python-list row at a time, or
 interval lists merged again from scratch and summed with math.fsum, or
-measured by the validator's three separate interval passes; nothing
+measured by the validator's three separate interval passes, which also
+merge and total every radio chain's claims for the double-drive check; nothing
 calls the package's simplex solver, LP builders, generator, scheduler or
 validator. Agreement between these references and the package is therefore
 a two-route check, not a tautology.
@@ -511,3 +512,31 @@ def validator_bad_geometry(intervals, tol=1e-9):
         if not (-tol <= s and s - tol <= e <= 1.0 + tol):
             return True
     return False
+
+
+def validator_double_drives(topology, schedule, tol=1e-9):
+    """The validator's double-driven chain lines, every (BS, chain) key with
+    two or more claims merged and totalled, its claims in the order the
+    links in ascending id give them, parent side first."""
+    claims = {}
+    for link in topology.links:
+        entry = schedule.links.get(link.id)
+        if entry is None:
+            continue
+        for pieces, bs in ((entry.parent_side, link.parent), (entry.child_side, link.child)):
+            for chain, s, e in pieces:
+                claims.setdefault((bs, chain), []).append((s, e, link.id))
+    doubled = {}
+    for key, held in claims.items():
+        if len(held) == 1:
+            continue
+        times = [(s, e) for s, e, _ in held]
+        union = validator_merge(times)
+        spare = validator_total(times) - validator_total(union) if len(union) < len(times) else 0.0
+        if spare > tol:
+            doubled[key] = spare
+    return [
+        f"ChainOverlap(chain {chain} at B{bs} is double-driven for {doubled[bs, chain]:.3e} "
+        f"(links {sorted({lid for _, _, lid in claims[bs, chain]})}))"
+        for bs, chain in sorted(doubled)
+    ]

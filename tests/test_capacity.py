@@ -1,7 +1,10 @@
 """Rate constant and per-link capacity profiles."""
 
+import dataclasses
+import inspect
 import math
 import pickle
+import typing
 
 import pytest
 
@@ -12,7 +15,7 @@ from backhaulopt.capacity import (
     physical_rate,
 )
 from backhaulopt.errors import InvalidHopCount, NonFiniteInput, NonPositiveInput
-from backhaulopt.model import BaseStation, make_link
+from backhaulopt.model import BaseStation, LogicalLink, make_link
 
 
 def test_reference_rate_lands_in_published_band():
@@ -75,8 +78,46 @@ def test_memoized_profiles_still_check_every_call():
     assert (link.capacity_gbps, link.p_first_max, link.p_last_max) == (6.65, 0.5, 0.25)
 
 
+RECORDS = [
+    (BaseStation, (3, "small", 2), "BaseStation(id=3, kind='small', radio_chains=2)"),
+    (LogicalLink, (3, 1, 3, 2, 13.3, 6.65, 0.5, 0.5),
+     "LogicalLink(id=3, parent=1, child=3, hop_count=2, phy_rate_gbps=13.3, "
+     "capacity_gbps=6.65, p_first_max=0.5, p_last_max=0.5)"),
+]
+
+
 def test_slotted_model_types_pickle():
-    # BaseStation and LogicalLink are frozen slotted dataclasses
-    for value in (BaseStation(3, "small", 2), make_link(3, 1, 3, 2)):
+    # BaseStation and LogicalLink are frozen slotted dataclasses; their own
+    # __init__ stores the fields through the slots, and each record still
+    # reads, compares, hashes, copies and refuses as the generated one did
+    for cls, args, text in RECORDS:
+        value = cls(*args)
         assert not hasattr(value, "__dict__")
         assert pickle.loads(pickle.dumps(value)) == value
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert list(inspect.signature(cls).parameters) == names
+        hints = typing.get_type_hints(cls.__init__)
+        assert hints == {**typing.get_type_hints(cls), "return": type(None)}
+        assert tuple(getattr(value, n) for n in names) == args
+        assert cls(**dict(zip(names, args))) == value
+        assert repr(value) == text
+        assert hash(value) == hash(args)
+        assert value == cls(*args) and value != args
+        assert value != cls(*args[:-1], args[-1] + 1)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        changed = dataclasses.replace(value, id=4)
+        assert (changed.id, tuple(getattr(changed, n) for n in names[1:])) == (4, args[1:])
+        assert value.id == 3
+        missing = f"missing 1 required positional argument: '{names[-1]}'"
+        with pytest.raises(TypeError, match=missing):
+            cls(*args[:-1])
+        with pytest.raises(TypeError, match=f"takes {len(args) + 1} positional arguments but"):
+            cls(*args, 0)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'color'"):
+            cls(*args, color=0)
+        with pytest.raises(TypeError, match="multiple values for argument 'id'"):
+            cls(*args[:-1], id=0)

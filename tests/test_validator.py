@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -412,6 +413,82 @@ def test_one_piece_lists_judge_every_kind_of_piece_as_the_general_path():
     for lists in itertools.product(cases, repeat=3):
         one, general = _one_piece_and_general([*lists, *link_2], 1, {1: 0.3, 2: 0.25})
         assert one == general, lists
+
+
+# two BSs where several claims meet on one chain: the macro's chain 0 and 1
+# carry the parent sides of links 1-3, B1's carry link 1's child side and the
+# parent sides of links 4 and 5; chain 2 exists at neither
+CHAIN_TOPOLOGY = helpers.topology([
+    make_link(1, 0, 1, 1), make_link(2, 0, 2, 1), make_link(3, 0, 3, 2),
+    make_link(4, 1, 4, 1), make_link(5, 1, 5, 3),
+], chains={0: 2, 1: 2})
+
+
+def _double_drives(sides):
+    """validate_schedule's double-driven chain lines, and the reference's,
+    for links 1-5 with these (parent side, child side) pairs."""
+    schedule = Schedule({lid: LinkSchedule([], parent, child)
+                         for lid, (parent, child) in zip(range(1, 6), sides)})
+    got = [str(v) for v in validate_schedule(CHAIN_TOPOLOGY, schedule).violations
+           if v.kind == "ChainOverlap" and "double-driven" in v.detail]
+    return got, oracles.validator_double_drives(CHAIN_TOPOLOGY, schedule)
+
+
+# frame grid points, so pieces touch, nest, overlap, repeat, empty and
+# reverse, with the tolerance's edges, out-of-frame values, NaN and infinities
+CLAIM_ENDS = st.sampled_from([
+    0.0, -0.0, 0.125, 0.25, 0.5, 0.75, 1.0, -1e-9, 1 + 1e-9, -2e-9, 1 + 2e-9,
+    -0.5, 1.5, math.nan, math.inf, -math.inf,
+]) | st.floats(-0.1, 1.1)
+CLAIM_SIDE = st.lists(st.tuples(st.sampled_from([0, 0, 1, 2]), CLAIM_ENDS, CLAIM_ENDS), max_size=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sides=st.lists(st.tuples(CLAIM_SIDE, CLAIM_SIDE), min_size=5, max_size=5))
+def test_chain_sweep_reports_as_merging_every_chain(sides):
+    # the sweep skips only chains whose claims share no time: every line,
+    # spare, owner list and order is the one the per-chain merge gives
+    got, want = _double_drives(sides)
+    assert got == want
+
+
+def test_chain_sweep_on_pieces_that_take_turns():
+    # pieces cut from one frame at random points touch end to start and share
+    # no time, but a nudge of an ulp, half the tolerance, twice it or 1e-6
+    # makes two of them overlap or leave a gap; a repeated, empty, reversed
+    # or out-of-frame piece, or one with a NaN end, joins some cases.
+    # Dealt in random order onto the macro's chain 0 and B1's chain 1
+    rng = random.Random(2)
+    nudges = [0.0, 5e-10, 2e-9, 1e-6]
+    extras = [None, "repeat", (0.3, 0.3), (0.6, 0.2), (-0.5, 0.1), (0.9, 1.5), (math.nan, 0.4)]
+    reported = silent = 0
+    for _ in range(3000):
+        edges = sorted(rng.random() for _ in range(rng.randint(1, 8)))
+        edges = [rng.choice([0.0, -1e-9, -2e-9]), *edges, rng.choice([1.0, 1 + 1e-9, 1 + 2e-9])]
+        if rng.random() < 0.5:
+            k = rng.randrange(len(edges))
+            nudge = rng.choice(nudges) or edges[k] - math.nextafter(edges[k], -math.inf)
+            edges[k] += rng.choice([-nudge, nudge])
+        pieces = list(zip(edges, edges[1:]))
+        extra = rng.choice(extras)
+        if extra == "repeat":
+            pieces.append(rng.choice(pieces))
+        elif extra is not None:
+            pieces.append(extra)
+        rng.shuffle(pieces)
+        sides = [([], []) for _ in range(5)]
+        for s, e in pieces:
+            lid = rng.choice([1, 2, 3, 4, 5])
+            if lid == 1 and rng.random() < 0.5:
+                sides[0][1].append((1, s, e))  # link 1's child side at B1
+            else:
+                sides[lid - 1][0].append((0 if lid <= 3 else 1, s, e))
+        got, want = _double_drives(sides)
+        assert got == want, pieces
+        reported += bool(want)
+        silent += not want
+    # both outcomes are common, so both the skip and the merge are checked
+    assert reported > 500 and silent > 500
 
 
 def test_nan_solution_is_flagged():

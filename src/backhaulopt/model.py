@@ -10,11 +10,6 @@ of decoded files state their field rules in a schema block, which reports a
 missing field or a wrong shape as InconsistentInput: json_int and json_float
 refuse what int() and float() would truncate, coerce or overflow on (2.5,
 "0.25", true, a huge integer), and json_map reads an object keyed by ids.
-Where a reader takes many numbers (topology_from_dict's ids, json_map's
-values, scheduler.schedule_from_dict's pieces), a value whose type() is
-already the wanted one, int for an id and float for a number, is taken as
-it is, and json_int or json_float decides every other value, in field order,
-so each message is the one the rule alone gives.
 """
 
 from __future__ import annotations
@@ -463,7 +458,7 @@ def read_json(path: str, what: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InconsistentInput(f"cannot read {what} from {path}: {exc}") from exc
 
 
@@ -505,18 +500,12 @@ def json_float(value) -> float:
         raise ValueError("integer out of the float range") from None
 
 
-# the type of value each rule returns as it is
-_RETURNS_UNCHANGED = {json_int: int, json_float: float}
-
-
 def json_map(value, rule) -> dict:
     """An object keyed by ids, each key read with int() and each value with rule;
-    int() reads "2", "02" and " 2" alike, so two keys for one id are a ValueError.
-    A value that json_int or json_float would return unchanged is taken as it is."""
+    int() reads "2", "02" and " 2" alike, so two keys for one id are a ValueError."""
     if type(value) is not dict:
         raise TypeError(f"{value!r:.40} is not an object keyed by ids")
-    kind = _RETURNS_UNCHANGED.get(rule)  # None for any other rule: it reads every value
-    out = {int(k): v if type(v) is kind else rule(v) for k, v in value.items()}
+    out = {int(k): rule(v) for k, v in value.items()}
     if len(out) < len(value):
         ids = [int(k) for k in value]
         raise ValueError(f"two keys name id {next(i for i in ids if ids.count(i) > 1)}")
@@ -524,35 +513,25 @@ def json_map(value, rule) -> dict:
 
 
 def topology_from_dict(data: Mapping) -> NetworkTopology:
-    # an int id or a float rate is taken as it is; json_int and json_float
-    # decide any other value, in the order of the fields
     with schema("topology"):
         stations = [
-            BaseStation(
-                i if type(i := s["id"]) is int else json_int(i),
-                str(s["kind"]),
-                c if type(c := s["radio_chains"]) is int else json_int(c),
-            )
+            BaseStation(json_int(s["id"]), str(s["kind"]), json_int(s["radio_chains"]))
             for s in data["stations"]
         ]
         links = [
             make_link(
-                i if type(i := l["id"]) is int else json_int(i),
-                p if type(p := l["parent"]) is int else json_int(p),
-                c if type(c := l["child"]) is int else json_int(c),
-                h if type(h := l["hops"]) is int else json_int(h),
-                r if type(r := l.get("phy_rate_gbps", _capacity.DEFAULT_PHY_RATE_GBPS)) is float
-                else json_float(r),
+                json_int(l["id"]),
+                json_int(l["parent"]),
+                json_int(l["child"]),
+                json_int(l["hops"]),
+                json_float(l.get("phy_rate_gbps", _capacity.DEFAULT_PHY_RATE_GBPS)),
                 capacity_gbps=json_float(l["capacity_gbps"]) if "capacity_gbps" in l else None,
                 p_first_max=json_float(l["p_first_max"]) if "p_first_max" in l else None,
                 p_last_max=json_float(l["p_last_max"]) if "p_last_max" in l else None,
             )
             for l in data["links"]
         ]
-        pairs = [
-            (a if type(a) is int else json_int(a), b if type(b) is int else json_int(b))
-            for a, b in data.get("interference", [])
-        ]
+        pairs = [(json_int(a), json_int(b)) for a, b in data.get("interference", [])]
     return NetworkTopology(stations, links, pairs)
 
 

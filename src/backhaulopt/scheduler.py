@@ -386,23 +386,11 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 
 def _pieces(side) -> list[tuple[int, float, float]]:
-    # an int chain or a float time is taken as it is; json_int and json_float
-    # decide any other value, in the order of the fields
-    return [
-        (
-            c if type(c := p["chain"]) is int else json_int(c),
-            s if type(s := p["start"]) is float else json_float(s),
-            e if type(e := p["end"]) is float else json_float(e),
-        )
-        for p in side
-    ]
+    return [(json_int(p["chain"]), json_float(p["start"]), json_float(p["end"])) for p in side]
 
 
 def _link_schedule(entry) -> LinkSchedule:
-    footprint = [
-        (s if type(s) is float else json_float(s), e if type(e) is float else json_float(e))
-        for s, e in entry["footprint"]
-    ]
+    footprint = [(json_float(s), json_float(e)) for s, e in entry["footprint"]]
     return LinkSchedule(footprint, _pieces(entry["parent_side"]), _pieces(entry["child_side"]))
 
 

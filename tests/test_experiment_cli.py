@@ -477,6 +477,19 @@ def test_cli_validate_refuses_a_solution_or_schedule_of_the_wrong_shape(
     assert "does not match schema" in out.err and "internal error:" not in out.err
 
 
+@pytest.mark.parametrize("doc, what", [("t", "topology"), ("s", "solution"), ("f", "schedule")])
+def test_cli_validate_refuses_a_deeply_nested_file(tmp_path, capsys, doc, what):
+    # json.load recurses once per nesting level, so this raises RecursionError
+    paths = _triple(tmp_path, "--seed", "4")
+    paths[doc].write_text("[" * 200_000)
+    capsys.readouterr()
+    code = main(["validate", *map(str, paths.values())])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: cannot read {what} from {paths[doc]}: ")
+    assert "internal error:" not in err
+
+
 def test_cli_validate_passes_its_own_schedule_at_a_high_rate(tmp_path, capsys):
     # at 2^20 times the paper's rate the scheduler's rounding to 1e-12 of the
     # frame is about 1e-5 Gbps; a check in Gbps flagged 166 links here

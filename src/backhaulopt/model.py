@@ -149,14 +149,15 @@ class NetworkTopology:
     """Immutable tree of one macro BS and its small-cell BSs.
 
     Construction never raises on structural garbage; `violations` holds the
-    report, computed once, and `subtree` reads an index built by one walk
-    from the macro. All other operations assume a valid topology.
+    report, computed once, and `subtree` and `child_links` read an index
+    built by one walk from the macro. All other operations assume a valid
+    topology.
 
-    A variant of a topology (new chain counts or a smaller pair list, see
-    generator.adapt_topology and strip_interference) comes from `_variant`
-    and shares its source's link and child indexes; a valid source also
-    lends it the tree index and the empty verdict, so one tree is walked
-    and checked once however many variants it has.
+    Every topology comes from this constructor. A variant with new chain
+    counts or a smaller pair list (generator.adapt_topology and
+    strip_interference) is built by `_variant`, which lends it a valid
+    source's tree index and empty verdict, so one tree is walked and checked
+    once however many variants it has.
     """
 
     def __init__(
@@ -172,47 +173,24 @@ class NetworkTopology:
 
         self._station_by_id = {s.id: s for s in self.stations}
         self._link_by_id = {l.id: l for l in self.links}
-        self._children: dict[int, list[LogicalLink]] = {s.id: [] for s in self.stations}
-        for link in self.links:
-            if link.parent in self._children:
-                self._children[link.parent].append(link)
-        self._partners = self._index_partners()
-
-    def _index_partners(self) -> dict[int, list[int]]:
-        partners: dict[int, list[int]] = {l.id: [] for l in self.links}
-        for a, b in self.interference_pairs:  # sorted with a <= b, so each list ascends
-            if a in partners and b in partners:
-                partners[a].append(b)
-                partners[b].append(a)
-        return partners
 
     def _variant(
         self,
         stations: Iterable[BaseStation] | None = None,
-        interference_pairs: tuple[tuple[int, int], ...] | None = None,
+        interference_pairs: Iterable[tuple[int, int]] | None = None,
     ) -> NetworkTopology:
-        """This topology with new stations or a new pair list, sharing the rest.
+        """This topology with new stations or a new pair list.
 
-        The caller keeps the station ids and kinds in the source's order,
-        gives every station at least one chain and passes a pair list that
-        is the source's or a part of it, in the sorted form the attribute
-        holds. Then a valid source's variant is valid too: it takes the
+        The caller keeps the station ids and kinds, gives every station at
+        least one chain and passes a pair list that is the source's or a
+        part of it. Then a valid source's variant is valid too: it takes the
         source's tree index and an empty verdict. An invalid source's
         variant computes its own.
         """
-        out = object.__new__(NetworkTopology)
-        out.stations = self.stations if stations is None else tuple(stations)
-        out.links = self.links
-        out.interference_pairs = (
-            self.interference_pairs if interference_pairs is None else interference_pairs
-        )
-        out._station_by_id = (
-            self._station_by_id if stations is None else {s.id: s for s in out.stations}
-        )
-        out._link_by_id = self._link_by_id
-        out._children = self._children
-        out._partners = (
-            self._partners if interference_pairs is None else out._index_partners()
+        out = NetworkTopology(
+            self.stations if stations is None else stations,
+            self.links,
+            self.interference_pairs if interference_pairs is None else interference_pairs,
         )
         if not self.violations:
             out.__dict__["_tree"] = self._tree
@@ -225,8 +203,14 @@ class NetworkTopology:
         return tuple(validate_tree(self) + validate_interference_model(self))
 
     @cached_property
-    def _tree(self) -> tuple[tuple[int, ...], dict[int, slice]]:
-        children, stations = self._children, self._station_by_id
+    def _tree(self) -> tuple[tuple[int, ...], dict[int, slice], dict[int, list[LogicalLink]]]:
+        """The preorder from the macro, each reached BS's span in it, and the
+        child links of every station, ascending id."""
+        stations = self._station_by_id
+        children: dict[int, list[LogicalLink]] = {bs: [] for bs in stations}
+        for link in self.links:
+            if link.parent in children:
+                children[link.parent].append(link)
         order, via, stack = [], {}, [(s.id, None) for s in self.stations if s.kind == MACRO][:1]
         push = stack.append
         while stack:
@@ -234,13 +218,14 @@ class NetworkTopology:
             if bs not in via:  # a cyclic topology must not hang us
                 via[bs] = parent  # the BS whose link the walk took to bs
                 order.append(bs)
-                for l in reversed(children.get(bs, ())):
+                for l in reversed(children[bs]):
                     if l.child in stations:  # a missing BS is no leaf
                         push((l.child, bs))
         size = dict.fromkeys(order, 1)
         for bs in reversed(order[1:]):
             size[via[bs]] += size[bs]
-        return tuple(order), {bs: slice(i, i + size[bs]) for i, bs in enumerate(order)}
+        spans = {bs: slice(i, i + size[bs]) for i, bs in enumerate(order)}
+        return tuple(order), spans, children
 
     # -- lookups ----------------------------------------------------------
 
@@ -270,7 +255,7 @@ class NetworkTopology:
         """Links whose first physical link starts at bs_id, ascending id."""
         if bs_id not in self._station_by_id:
             raise UnknownBS(f"no base station with id {bs_id}")
-        return list(self._children.get(bs_id, []))
+        return list(self._tree[2][bs_id])
 
     def inbound_link(self, bs_id: int) -> LogicalLink | None:
         """The link feeding bs_id, None for the macro."""
@@ -279,12 +264,21 @@ class NetworkTopology:
         return self._link_by_id.get(bs_id)
 
     def partners(self, link_id: int) -> list[int]:
-        """Ids of links interfering with link_id, ascending."""
-        return list(self._partners.get(link_id, ()))
+        """Ids of links interfering with link_id, ascending: one per end of a
+        pair between two known links that names it."""
+        links = self._link_by_id
+        out = []
+        for a, b in self.interference_pairs:
+            if a in links and b in links:
+                if a == link_id:
+                    out.append(b)
+                if b == link_id:
+                    out.append(a)
+        return out
 
     def subtree(self, bs_id: int) -> tuple[int, ...]:
         """BS ids under bs_id in preorder, child links by ascending id; a slice of the macro's."""
-        order, _ = self._tree
+        order = self._tree[0]
         return order[self.subtree_slice(bs_id)]
 
     def subtree_slice(self, bs_id: int) -> slice:

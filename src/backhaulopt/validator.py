@@ -35,9 +35,9 @@ Most footprints and sides hold one piece. validate_schedule measures such a
 list, and intersects a one-piece side with a one-piece footprint, in its
 per-link loop with the comparisons _merge, _total, _bad_geometry and _overlap
 make of one piece; _measure and _overlap take every other list. The chain
-double-drive check sweeps each chain's sorted claims once, and merges and
-totals only the chains where that sweep finds shared time or a piece that
-is empty or outside the frame.
+double-drive check sweeps each chain's sorted claims once, and measures
+only the chains where that sweep finds shared time or a piece that is empty
+or outside the frame.
 """
 
 from __future__ import annotations
@@ -311,10 +311,9 @@ def validate_schedule(
             end = e
         else:
             continue
-        # any other key is merged and totalled, its claims in the order given
-        times = [(s, e) for s, e, _ in claims]
-        union = _merge(times)
-        spare = _total(times) - _total(union) if len(union) < len(times) else 0.0
+        # any other key goes through _measure, its claims in the order given
+        _, total, raw_total, _ = _measure([(s, e) for s, e, _ in claims])
+        spare = raw_total - total
         if spare > TOL_INTERVAL:
             doubled[key] = spare
     for bs, chain in sorted(doubled):  # only the reported keys are sorted

@@ -327,3 +327,75 @@ def test_variants_match_a_fresh_topology():
             setting, macro_chains = parse_setting(name)
             for topo in (source, bare):
                 _assert_same_as_fresh(adapt_topology(topo, setting, macro_chains=macro_chains))
+
+
+def _invalid_variant_sources():
+    """The invalid sources of test_variants_match_a_fresh_topology, by defect."""
+    return {
+        "ZeroChains": helpers.chain(hops=(1, 2), chains={1: 0}, pairs=[(1, 2)]),
+        "TwoInbound": NetworkTopology(
+            _STATIONS, [make_link(1, 0, 1, 1), make_link(2, 0, 2, 1), make_link(3, 1, 2, 1)],
+            [(1, 2)],
+        ),
+        "SelfPairAndPair": helpers.chain(hops=(1, 1), pairs=[(1, 1), (1, 2)]),
+        "MissingB9": NetworkTopology(
+            _STATIONS, [make_link(1, 0, 1, 1), make_link(2, 0, 2, 1), make_link(9, 1, 9, 1)],
+            [(1, 9), (1, 2)],
+        ),
+    }
+
+
+# partners(link) per link and the child_links ids per station, recorded when
+# the constructor still built both maps; a pair is counted once per end it
+# names, so a self pair lists its link twice
+_PINNED = {
+    "NoMacro": ({}, {1: []}),
+    "DuplicateMacro": ({1: []}, {0: [1], 1: []}),
+    "LinkIdMismatch": ({2: [], 5: []}, {0: [2, 5], 1: [], 2: []}),
+    "MissingInbound": ({1: []}, {0: [1], 1: [], 2: []}),
+    "NotATree": ({1: [], 2: []}, {0: [], 1: [2], 2: [1]}),
+    "MacroInbound": ({0: [], 1: [], 2: []}, {0: [1, 2], 1: [0], 2: []}),
+    "UnknownEndpoint": ({1: [], 2: [], 9: []}, {0: [1, 2], 1: [9], 2: []}),
+    "BadRadioChains": ({1: []}, {0: [1], 1: []}),
+    "SelfPair": ({1: [1, 1], 2: []}, {0: [1], 1: [2], 2: []}),
+    "UnknownLink": ({1: [], 2: []}, {0: [1], 1: [2], 2: []}),
+    "NoSharedBS": ({1: [3], 2: [], 3: [1]}, {0: [1], 1: [2], 2: [3], 3: []}),
+    "TooManyPartnersAtBS": ({1: [2], 2: [1, 3], 3: [2]}, {0: [1, 2, 3], 1: [], 2: [], 3: []}),
+    "ZeroChains": ({1: [2], 2: [1]}, {0: [1], 1: [2], 2: []}),
+    "TwoInbound": ({1: [2], 2: [1], 3: []}, {0: [1, 2], 1: [3], 2: []}),
+    "SelfPairAndPair": ({1: [1, 1, 2], 2: [1]}, {0: [1], 1: [2], 2: []}),
+    "MissingB9": ({1: [2, 9], 2: [1], 9: [1]}, {0: [1, 2], 1: [9], 2: []}),
+}
+
+
+def _variants(source):
+    """The source's stripped copy and its rewrite for every setting."""
+    yield strip_interference(source)
+    for name in SETTING_NAMES:
+        setting, macro_chains = parse_setting(name)
+        yield adapt_topology(source, setting, macro_chains=macro_chains)
+
+
+def test_partners_and_child_links_answer_as_pinned():
+    sources = {**malformed(), **_invalid_variant_sources()}
+    assert sources.keys() == _PINNED.keys()
+    for name, source in sources.items():
+        partners, children = _PINNED[name]
+        for topo in (source, *_variants(source)):
+            stripped = not topo.interference_pairs
+            assert {l.id: topo.partners(l.id) for l in topo.links} == (
+                {l: [] for l in partners} if stripped else partners
+            ), name
+            assert {s.id: [l.id for l in topo.child_links(s.id)] for s in topo.stations} == (
+                children
+            ), name
+
+
+def test_only_a_valid_source_lends_its_tree_index():
+    valid = generate_topology(
+        GeneratorConfig(seed=20, num_small_bs=20, macro_degree=8, interference_pair_budget=6)
+    )
+    assert valid.violations == ()
+    for source in (valid, *malformed().values(), *_invalid_variant_sources().values()):
+        for topo in _variants(source):
+            assert (topo._tree is source._tree) == (not source.violations)

@@ -345,9 +345,9 @@ def _invalid_variant_sources():
     }
 
 
-# partners(link) per link and the child_links ids per station, recorded when
-# the constructor still built both maps; a pair is counted once per end it
-# names, so a self pair lists its link twice
+# partners(link) per link and the child_links ids per station on invalid
+# input: a pair counts once per end it names, so a self pair lists its link
+# twice, and a pair with a link that does not exist counts for neither end
 _PINNED = {
     "NoMacro": ({}, {1: []}),
     "DuplicateMacro": ({1: []}, {0: [1], 1: []}),

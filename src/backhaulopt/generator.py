@@ -7,12 +7,13 @@ across Python versions, so a seed pins the topology bit for bit.
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 
 from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
-from backhaulopt.errors import InconsistentInput, InfeasibleConfig, NonPositiveInput
+from backhaulopt.errors import InconsistentInput, InfeasibleConfig, NonFiniteInput, NonPositiveInput
 from backhaulopt.formulations import RadioChains, Setting
 from backhaulopt.model import (
     MACRO,
@@ -58,6 +59,9 @@ def _check_config(config: GeneratorConfig) -> None:
         not isinstance(h, int) or h < 1 or w < 0 for h, w in hops.items()
     ):
         raise InfeasibleConfig("hop_distribution needs integer hops >= 1, weights >= 0")
+    for h, w in hops.items():
+        if not math.isfinite(w):  # a NaN or +inf weight would draw every link at one count
+            raise NonFiniteInput(f"hop_distribution weight of {h} hops must be finite, got {w}")
     if sum(hops.values()) <= 0:
         raise InfeasibleConfig("hop_distribution weights sum to zero")
 

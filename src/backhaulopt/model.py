@@ -9,7 +9,8 @@ Every JSON file is read by read_json and written by write_json. The readers
 of decoded files state their field rules in a schema block, which reports a
 missing field or a wrong shape as InconsistentInput: json_int and json_float
 refuse what int() and float() would truncate, coerce or overflow on (2.5,
-"0.25", true, a huge integer), and json_map reads an object keyed by ids.
+"0.25", true, a huge integer), json_str refuses what str() would name (1,
+null), and json_map reads an object keyed by ids.
 """
 
 from __future__ import annotations
@@ -482,6 +483,13 @@ def json_int(value) -> int:
     return value
 
 
+def json_str(value) -> str:
+    """A name field: a JSON string."""
+    if type(value) is not str:
+        raise TypeError(f"{value!r} is not a JSON string")
+    return value
+
+
 def json_float(value) -> float:
     """A real-number field: a JSON int or float, not a bool. NaN and inf pass."""
     if type(value) is float:
@@ -509,7 +517,7 @@ def json_map(value, rule) -> dict:
 def topology_from_dict(data: Mapping) -> NetworkTopology:
     with schema("topology"):
         stations = [
-            BaseStation(json_int(s["id"]), str(s["kind"]), json_int(s["radio_chains"]))
+            BaseStation(json_int(s["id"]), json_str(s["kind"]), json_int(s["radio_chains"]))
             for s in data["stations"]
         ]
         links = [

@@ -31,13 +31,12 @@ Violation kinds:
 Every comparison of the schedule is in frame time at TOL_INTERVAL, rates
 too: a link that carries D Gbps at capacity C must run D/C of the frame.
 
-Most footprints and sides hold one piece. validate_schedule measures such a
-list, and intersects a one-piece side with a one-piece footprint, in its
-per-link loop with the comparisons _merge, _total, _bad_geometry and _overlap
-make of one piece; _measure and _overlap take every other list. The chain
-double-drive check sweeps each chain's sorted claims once, and measures
-only the chains where that sweep finds shared time or a piece that is empty
-or outside the frame.
+Every footprint and side is measured by _measure, which judges a one-piece
+list, the common case, by a few comparisons and every other list in one
+pass; every coverage, cross and interference intersection is taken by
+_overlap. The chain double-drive check sweeps each chain's sorted claims
+once, and measures only the chains where that sweep finds shared time or a
+piece that is empty or outside the frame.
 """
 
 from __future__ import annotations
@@ -90,11 +89,8 @@ def _total(intervals: list[Interval]) -> float:
     leaves the float range, depending on their order; both take pieces far
     outside the frame. There the total is the IEEE sum of the infinite
     lengths, or the exact sum of the finite ones rounded, ±inf past the
-    float range. One piece takes no fsum: fsum([-0.0]) is +0.0.
+    float range.
     """
-    if len(intervals) == 1:
-        s, e = intervals[0]
-        return (e - s) + 0.0
     lengths = [e - s for s, e in intervals]
     try:
         return math.fsum(lengths)
@@ -113,18 +109,20 @@ def _total(intervals: list[Interval]) -> float:
 
 
 def _overlap(a: list[Interval], b: list[Interval]) -> float:
-    """Total measure of the intersection of two merged lists."""
-    if len(a) == 1 and len(b) == 1:
-        s, e = max(a[0][0], b[0][0]), min(a[0][1], b[0][1])
-        return e - s if s < e else 0.0
+    """Total measure of the intersection of two merged lists. Each step meets
+    one piece of each list, takes max and min by comparisons, so a NaN end
+    gives no overlap, and moves past the piece that ends first (b's, when an
+    end is NaN)."""
     out = 0.0
     i = j = 0
     while i < len(a) and j < len(b):
-        s = max(a[i][0], b[j][0])
-        e = min(a[i][1], b[j][1])
-        if s < e:
-            out += e - s
-        if a[i][1] <= b[j][1]:
+        s, e = a[i]
+        t, f = b[j]
+        lo = t if t > s else s
+        hi = f if f < e else e
+        if lo < hi:
+            out += hi - lo
+        if e <= f:
             i += 1
         else:
             j += 1
@@ -147,9 +145,15 @@ def _measure(intervals: list[Interval]) -> tuple[list[Interval], float, float, b
     """One interval list's merged pieces, their total, the total of the pieces
     as given, and its _bad_geometry verdict. The raw total is summed only
     when the merge dropped or joined a piece; otherwise it is the merged one.
-    validate_schedule measures a one-piece list itself."""
+    One piece, the common case, is judged by the comparisons _merge, _total
+    and _bad_geometry make of it (negated, so a NaN is bad)."""
     if not intervals:
         return [], 0.0, 0.0, False
+    if len(intervals) == 1:
+        ((s, e),) = intervals
+        total = (e - s) + 0.0
+        bad = not (-TOL_INTERVAL <= s and s - TOL_INTERVAL <= e <= 1.0 + TOL_INTERVAL)
+        return ([], 0.0, total, bad) if e <= s else (intervals, total, total, bad)
     bad = _bad_geometry(intervals)
     merged = _merge(intervals)
     total = _total(merged)
@@ -192,18 +196,7 @@ def validate_schedule(
             add("MissingLink", f"no schedule entry for link {link.id}")
             continue
 
-        # one piece, the common case, is measured here by the comparisons
-        # _merge, _total and _bad_geometry make of one piece (negated, so a
-        # NaN is bad); _measure takes every other list
-        footprint = entry.footprint
-        if len(footprint) == 1:
-            ((s, e),) = footprint
-            footprint_total = raw_total = (e - s) + 0.0
-            bad = not (-TOL_INTERVAL <= s and s - TOL_INTERVAL <= e <= 1.0 + TOL_INTERVAL)
-            if e <= s:
-                footprint, footprint_total = [], 0.0
-        else:
-            footprint, footprint_total, raw_total, bad = _measure(footprint)
+        footprint, footprint_total, raw_total, bad = _measure(entry.footprint)
         footprints[link.id] = footprint
         if bad:
             add("FootprintMismatch", f"link {link.id} footprint leaves the frame")
@@ -226,24 +219,8 @@ def validate_schedule(
                         f"which has {chains} radio chains",
                     )
                 chain_claims[bs, chain].append((s, e, link.id))
-            if len(pieces) == 1:
-                # s and e are the one piece's; it meets a one-piece footprint
-                # by _overlap's own max and min
-                merged_total = raw_total = (e - s) + 0.0
-                bad = not (-TOL_INTERVAL <= s and s - TOL_INTERVAL <= e <= 1.0 + TOL_INTERVAL)
-                if e <= s:
-                    side, merged_total, covered = [], 0.0, 0.0
-                else:
-                    side = [(s, e)]
-                    if len(footprint) == 1:
-                        ((fs, fe),) = footprint
-                        lo, hi = fs if fs > s else s, fe if fe < e else e
-                        covered = hi - lo if lo < hi else 0.0
-                    else:
-                        covered = _overlap(side, footprint)
-            else:
-                side, merged_total, raw_total, bad = _measure([(s, e) for _, s, e in pieces])
-                covered = _overlap(side, footprint)
+            side, merged_total, raw_total, bad = _measure([(s, e) for _, s, e in pieces])
+            covered = _overlap(side, footprint)
             merged.append(side)
             active.append(raw_total)
             if bad:

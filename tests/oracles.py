@@ -5,7 +5,8 @@ basic solutions, a plain Bland-rule pivot loop, a full-rescan replay of the
 topology generator, the demand LP built one Python-list row at a time, or
 interval lists merged again from scratch and summed with math.fsum, or
 measured by the validator's three separate interval passes, which also
-merge and total every radio chain's claims for the double-drive check; nothing
+merge and total every radio chain's claims for the double-drive check, and
+intersected by the validator's former overlap loop; nothing
 calls the package's simplex solver, LP builders, generator, scheduler or
 validator. Agreement between these references and the package is therefore
 a two-route check, not a tautology.
@@ -465,7 +466,8 @@ def interval_overlap(a, b):
 
 # -- the validator's interval helpers as three separate passes ----------------
 # validator._measure answers all three in one pass; these are the helpers it
-# replaced, kept verbatim as its reference.
+# replaced, kept verbatim as its reference. validator_overlap is the
+# intersection loop validator._overlap replaced, kept verbatim too.
 
 
 def validator_merge(intervals):
@@ -504,6 +506,25 @@ def validator_total(intervals):
         return float(exact)
     except OverflowError:
         return math.inf if exact > 0 else -math.inf
+
+
+def validator_overlap(a, b):
+    """Total measure of the intersection of two merged lists."""
+    if len(a) == 1 and len(b) == 1:
+        s, e = max(a[0][0], b[0][0]), min(a[0][1], b[0][1])
+        return e - s if s < e else 0.0
+    out = 0.0
+    i = j = 0
+    while i < len(a) and j < len(b):
+        s = max(a[i][0], b[j][0])
+        e = min(a[i][1], b[j][1])
+        if s < e:
+            out += e - s
+        if a[i][1] <= b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
 
 
 def validator_bad_geometry(intervals, tol=1e-9):

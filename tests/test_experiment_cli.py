@@ -341,6 +341,35 @@ def test_cli_validate_refuses_every_malformed_number_as_before(tmp_path, capsys)
     )
 
 
+def _solve_and_validate_with_kind(tmp_path, capsys, kind):
+    """solve's and validate's (exit code, stdout, stderr) on a triple whose
+    station B1 has this kind."""
+    paths = _triple(tmp_path, "--seed", "7", "--pairs", "2", setting="LI-ER")
+    data = json.loads(paths["t"].read_text())
+    data["stations"][1]["kind"] = kind
+    paths["t"].write_text(json.dumps(data))
+    runs = []
+    for argv in (["solve", str(paths["t"]), "--setting", "LI-ER"],
+                 ["validate", *map(str, paths.values())]):
+        capsys.readouterr()
+        runs.append((main(argv), *capsys.readouterr()))
+    return runs
+
+
+@pytest.mark.parametrize("kind", [1, True, None, ["macro"]])
+def test_cli_refuses_a_station_kind_that_is_no_string(tmp_path, capsys, kind):
+    # str() made these a kind name, so the file read as a topology with an
+    # UnknownKind station and solve and validate exited 2
+    want = f"error: topology JSON does not match schema: {kind!r} is not a JSON string\n"
+    assert _solve_and_validate_with_kind(tmp_path, capsys, kind) == [(3, "", want)] * 2
+
+
+def test_cli_judges_an_unknown_kind_string_as_before(tmp_path, capsys):
+    for code, _, err in _solve_and_validate_with_kind(tmp_path, capsys, "relay"):
+        assert code == 2
+        assert "UnknownKind(B1 kind='relay')" in err
+
+
 def _validate_solution(paths, solution, capsys):
     paths["s"].write_text(json.dumps(solution))
     capsys.readouterr()

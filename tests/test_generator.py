@@ -1,12 +1,13 @@
 """Seeded topology generation: reproducibility and structural guarantees."""
 
+import math
 import random
 
 import pytest
 
 import oracles
 from backhaulopt import generator
-from backhaulopt.errors import InconsistentInput, InfeasibleConfig, NonPositiveInput
+from backhaulopt.errors import InconsistentInput, InfeasibleConfig, NonFiniteInput, NonPositiveInput
 from backhaulopt.formulations import parse_setting
 from backhaulopt.generator import (
     GeneratorConfig,
@@ -191,6 +192,15 @@ def test_infeasible_configs_rejected():
         generate_topology(GeneratorConfig(hop_distribution={}))
     with pytest.raises(InfeasibleConfig):
         generate_topology(GeneratorConfig(hop_distribution={0: 1.0}))
+
+
+def test_non_finite_hop_weights_rejected():
+    # either weight gave every link 3 hops; a -inf weight is a negative one
+    for hops in ({2: 1.0, 3: math.nan}, {1: 1.0, 3: math.inf}):
+        with pytest.raises(NonFiniteInput):
+            generate_topology(GeneratorConfig(hop_distribution=hops))
+    with pytest.raises(InfeasibleConfig):
+        generate_topology(GeneratorConfig(hop_distribution={1: 1.0, 3: -math.inf}))
 
 
 def test_strip_interference():

@@ -360,6 +360,22 @@ def test_measure_matches_the_separate_passes(intervals):
     assert bad == oracles.validator_bad_geometry(intervals)
 
 
+# frame values, so pieces touch, nest and share ends, mixed with signed zeros,
+# infinities, huge values and NaN, which decide max, min and which list moves on
+OVERLAP_ENDS = st.sampled_from([
+    0.0, -0.0, 0.25, 0.5, 0.75, 1.0, math.inf, -math.inf, 1e308, -1e308, math.nan,
+]) | st.floats(-0.5, 1.5)
+MERGED_LIST = st.lists(st.tuples(OVERLAP_ENDS, OVERLAP_ENDS), max_size=4).map(validator._merge)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(a=MERGED_LIST, b=MERGED_LIST)
+def test_overlap_matches_the_former_loop(a, b):
+    # one loop with max and min by comparisons gives the former loop's total
+    # to the bit, its 1x1 branch's too, NaN ends and signed zeros included
+    assert _same(validator._overlap(a, b), oracles.validator_overlap(a, b)), (a, b)
+
+
 # a 1-hop and a 2-hop link from the macro, interfering with each other
 ONE_PIECE_TOPOLOGY = helpers.topology([
     make_link(1, 0, 1, 1, phy_rate_gbps=helpers.RATE),
@@ -370,8 +386,9 @@ ONE_PIECE_TOPOLOGY = helpers.topology([
 def _one_piece_and_general(lists, chain, p_first):
     """The reports on one-piece lists, and on the same lists with an empty
     piece inside the frame added to each: that sends every list through
-    _measure and _overlap and changes nothing they report, as the merge drops
-    it and its zero length adds nothing to a total or a chain's shared time."""
+    _measure's general path in place of its one-piece case and changes
+    nothing they report, as the merge drops it and its zero length adds
+    nothing to a total or a chain's shared time."""
 
     def report(extra):
         links = {}
@@ -396,15 +413,16 @@ def _one_piece_and_general(lists, chain, p_first):
     p_first=st.none() | st.fixed_dictionaries({1: ENDPOINTS, 2: ENDPOINTS}),
 )
 def test_one_piece_lists_judge_as_through_measure_and_overlap(lists, chain, p_first):
-    # validate_schedule measures a one-piece footprint or side, and meets a
-    # one-piece side with a one-piece footprint, in its own loop: totals,
-    # coverage and geometry verdicts, so every report, are the general path's
+    # _measure judges a one-piece footprint or side by its one-piece case:
+    # totals, coverage and geometry verdicts, so every report, are those its
+    # general path gives
     one, general = _one_piece_and_general(lists, chain, p_first)
     assert one == general
 
 
 def test_one_piece_lists_judge_every_kind_of_piece_as_the_general_path():
-    # every footprint, parent side and child side of link 1 drawn from finite,
+    # _measure's one-piece case against its general path, with every
+    # footprint, parent side and child side of link 1 drawn from finite,
     # NaN, infinite, reversed, empty and out-of-frame pieces
     cases = [(0.1, 0.4), (math.nan, 0.3), (0.2, math.nan), (-math.inf, math.inf),
              (0.0, math.inf), (0.6, 0.2), (0.3, 0.3), (-0.5, 0.2), (0.9, 1.5),

@@ -66,15 +66,15 @@ def link_profile(hop_count: int, phy_rate_gbps: float) -> LinkCapacityProfile:
     independent of the exact hop count.
 
     Memoized: the profile is frozen, so links share it. The cache tells
-    argument types apart, so 1.0 hops never meets the entry of 1 hop and
-    still fails the check; a call that raises caches nothing.
+    argument types apart, so 1.0 or True hops never meets the entry of 1 hop
+    and still fails the check; a call that raises caches nothing.
     """
-    if not isinstance(hop_count, int) or hop_count < 1:
+    if type(hop_count) is not int or hop_count < 1:
         raise InvalidHopCount(f"hop_count must be a positive integer, got {hop_count!r}")
     if not math.isfinite(phy_rate_gbps):
         raise NonFiniteInput(f"phy_rate_gbps must be finite, got {phy_rate_gbps}")
-    if phy_rate_gbps <= 0:
-        raise NonPositiveInput(f"phy_rate_gbps must be positive, got {phy_rate_gbps}")
+    if phy_rate_gbps <= 0 or type(phy_rate_gbps) is bool:
+        raise NonPositiveInput(f"phy_rate_gbps must be a positive number, got {phy_rate_gbps!r}")
     if hop_count == 1:
         return LinkCapacityProfile(phy_rate_gbps, 1.0, 1.0)
     return LinkCapacityProfile(phy_rate_gbps / 2.0, 0.5, 0.5)

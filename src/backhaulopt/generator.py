@@ -1,7 +1,9 @@
 """Random tree topologies for simulation runs.
 
-random.Random is used deliberately: its Mersenne Twister stream is stable
-across Python versions, so a seed pins the topology bit for bit.
+A seed pins the topology bit for bit. Python guarantees only the stream of
+random.Random.random() across versions; the shuffle, choice and choices
+draws made from it are pinned for the supported versions by the frozen
+digests of the test suite.
 """
 
 from __future__ import annotations
@@ -40,12 +42,13 @@ class GeneratorConfig:
 
 
 def _check_config(config: GeneratorConfig) -> None:
-    # a count below its minimum is bad input; link_profile checks phy_rate_gbps
+    # a count that is no int (a bool included) or below its minimum is bad
+    # input; link_profile checks phy_rate_gbps
     for name, least in (("num_small_bs", 1), ("macro_degree", 1),
                         ("max_small_children", 0), ("interference_pair_budget", 0)):
         value = getattr(config, name)
-        if value < least:
-            raise NonPositiveInput(f"{name} must be at least {least}, got {value}")
+        if type(value) is not int or value < least:
+            raise NonPositiveInput(f"{name} must be an integer of at least {least}, got {value!r}")
     if config.macro_degree > config.num_small_bs:
         raise InfeasibleConfig(
             f"macro_degree {config.macro_degree} exceeds num_small_bs {config.num_small_bs}"
@@ -55,26 +58,15 @@ def _check_config(config: GeneratorConfig) -> None:
             "small BSs beyond the macro's direct children need somewhere to attach"
         )
     hops = config.hop_distribution
-    if not hops or any(
-        not isinstance(h, int) or h < 1 or w < 0 for h, w in hops.items()
-    ):
+    if not hops or any(type(h) is not int or h < 1 or w < 0 for h, w in hops.items()):
         raise InfeasibleConfig("hop_distribution needs integer hops >= 1, weights >= 0")
-    for h, w in hops.items():
-        if not math.isfinite(w):  # a NaN or +inf weight would draw every link at one count
-            raise NonFiniteInput(f"hop_distribution weight of {h} hops must be finite, got {w}")
-    if sum(hops.values()) <= 0:
+    # summed in the draw's order: a NaN or +inf weight, or a sum past the
+    # float range, would draw every link at one count
+    total = sum(w for _, w in sorted(hops.items()))
+    if not math.isfinite(total):
+        raise NonFiniteInput(f"hop_distribution weights must have a finite sum, got {total}")
+    if total <= 0:
         raise InfeasibleConfig("hop_distribution weights sum to zero")
-
-
-def _draw_hops(rng: random.Random, items: list[tuple[int, float]], total: float) -> int:
-    """One hop count from the (hops, weight) items, ascending hops, that sum to total."""
-    r = rng.random() * total
-    acc = 0.0
-    for hops, weight in items:
-        acc += weight
-        if r < acc:
-            return hops
-    return items[-1][0]
 
 
 def generate_topology(config: GeneratorConfig) -> NetworkTopology:
@@ -82,9 +74,10 @@ def generate_topology(config: GeneratorConfig) -> NetworkTopology:
 
     Small BS ids are a shuffled 1..N; the first macro_degree of them hang
     off the macro, the rest attach uniformly at random to a small BS that
-    still has a child slot. Radio chain counts default to the number of
-    attached links per BS (enough for every link); setting-specific counts
-    come from adapt_topology.
+    still has a child slot. Each link's hop count is one weighted draw from
+    hop_distribution, in ascending link id. Radio chain counts default to
+    the number of attached links per BS (enough for every link);
+    setting-specific counts come from adapt_topology.
     """
     _check_config(config)
     rng = random.Random(config.seed)
@@ -108,28 +101,18 @@ def generate_topology(config: GeneratorConfig) -> NetworkTopology:
         if config.max_small_children > 0:
             bisect.insort(eligible, bs)
 
-    hop_items = sorted(config.hop_distribution.items())  # sorted and summed once per tree
-    hop_total = sum(w for _, w in hop_items)
+    ids = sorted(parent_of)
+    hops, weights = zip(*sorted(config.hop_distribution.items()))
     links = [
-        make_link(
-            link_id=bs,
-            parent=parent_of[bs],
-            child=bs,
-            hop_count=_draw_hops(rng, hop_items, hop_total),
-            phy_rate_gbps=config.phy_rate_gbps,
-        )
-        for bs in sorted(parent_of)
+        make_link(bs, parent_of[bs], bs, hop_count, config.phy_rate_gbps)
+        for bs, hop_count in zip(ids, rng.choices(hops, weights, k=len(ids)))
     ]
 
     pairs = _draw_pairs(rng, links, config.interference_pair_budget)
 
-    attached: dict[int, int] = {0: child_count[0]}
-    for bs in sorted(parent_of):
-        attached[bs] = child_count[bs] + 1
-    stations = [BaseStation(id=0, kind=MACRO, radio_chains=max(1, attached[0]))]
+    stations = [BaseStation(id=0, kind=MACRO, radio_chains=child_count[0])]
     stations += [
-        BaseStation(id=bs, kind=SMALL, radio_chains=max(1, attached[bs]))
-        for bs in sorted(parent_of)
+        BaseStation(id=bs, kind=SMALL, radio_chains=child_count[bs] + 1) for bs in ids
     ]
 
     topology = NetworkTopology(stations, links, pairs)

@@ -59,6 +59,12 @@ def test_rejects_bad_hop_counts():
         link_profile(-2, 13.3)
     with pytest.raises(InvalidHopCount):
         link_profile(1.5, 13.3)
+    # a bool is no hop count, nor a rate: the file writer would emit a JSON
+    # true its own reader refuses
+    with pytest.raises(InvalidHopCount):
+        make_link(1, 0, 1, True)
+    with pytest.raises(NonPositiveInput):
+        make_link(1, 0, 1, 1, True)
 
 
 def test_memoized_profiles_still_check_every_call():

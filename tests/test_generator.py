@@ -1,5 +1,6 @@
 """Seeded topology generation: reproducibility and structural guarantees."""
 
+import itertools
 import math
 import random
 
@@ -180,6 +181,17 @@ def test_infeasible_configs_rejected():
         {"max_small_children": -1},
         {"interference_pair_budget": -1},
         {"phy_rate_gbps": 0.0},
+        # a count must be an int and a rate a number, a bool being neither:
+        # a bool rate was written as a JSON true its own reader refuses
+        {"num_small_bs": 20.0},
+        {"macro_degree": 2.5},
+        {"max_small_children": 1.5},
+        {"interference_pair_budget": 2.5},
+        {"num_small_bs": True, "macro_degree": 1},
+        {"macro_degree": True},
+        {"max_small_children": True},
+        {"interference_pair_budget": True},
+        {"phy_rate_gbps": True},
     ):
         with pytest.raises(NonPositiveInput):
             generate_topology(GeneratorConfig(**bad))
@@ -190,17 +202,75 @@ def test_infeasible_configs_rejected():
         generate_topology(GeneratorConfig(num_small_bs=5, macro_degree=2, max_small_children=0))
     with pytest.raises(InfeasibleConfig):
         generate_topology(GeneratorConfig(hop_distribution={}))
-    with pytest.raises(InfeasibleConfig):
-        generate_topology(GeneratorConfig(hop_distribution={0: 1.0}))
+    for hops in ({0: 1.0}, {True: 1.0}, {1: 0.5, 2.0: 0.5}):
+        with pytest.raises(InfeasibleConfig):
+            generate_topology(GeneratorConfig(hop_distribution=hops))
 
 
 def test_non_finite_hop_weights_rejected():
-    # either weight gave every link 3 hops; a -inf weight is a negative one
-    for hops in ({2: 1.0, 3: math.nan}, {1: 1.0, 3: math.inf}):
+    # each table gave every link one hop count (3, 3 and 2); a -inf weight
+    # is a negative one
+    for hops in ({2: 1.0, 3: math.nan}, {1: 1.0, 3: math.inf}, {1: 1e308, 2: 1e308}):
         with pytest.raises(NonFiniteInput):
             generate_topology(GeneratorConfig(hop_distribution=hops))
     with pytest.raises(InfeasibleConfig):
         generate_topology(GeneratorConfig(hop_distribution={1: 1.0, 3: -math.inf}))
+
+
+class _Scripted(random.Random):
+    """A Random whose random() replays SCRIPT in a loop.
+
+    getrandbits is named here so that shuffle and choice keep drawing
+    through it: a subclass that defines random() alone has them draw
+    through random(), and the script would never reach the hop draws.
+    """
+
+    SCRIPT: list[float] = []
+    getrandbits = random.Random.getrandbits
+
+    def seed(self, *args, **kwargs):
+        super().seed(*args, **kwargs)
+        self._step = 0
+
+    def random(self):
+        value = self.SCRIPT[self._step % len(self.SCRIPT)]
+        self._step += 1
+        return value
+
+
+@pytest.mark.parametrize("table", [
+    {3: 1.0},
+    {1: 0, 2: 1, 3: 1},
+    {1: 1, 2: 0, 3: 1},
+    {1: 1, 2: 1, 3: 0},
+    {1: 1, 2: 3},
+    {1: 0.2, 2: 0.4, 3: 0.4},
+], ids=str)
+def test_hop_draws_at_the_weight_boundaries_match_the_reference(monkeypatch, table):
+    # every draw lands on 0, on a running weight's share of the total (the
+    # last share is 1.0, which only the fall-through to the last count
+    # takes) or the float just below it, or just below 1: a draw that takes
+    # the wrong side of a boundary, or a zero-weight count, parts from the
+    # reference loop
+    running = list(itertools.accumulate(w for _, w in sorted(table.items())))
+    script = [0.0]
+    for c in running:
+        share = c / running[-1]
+        script += [share, math.nextafter(share, 0.0)]
+    script.append(math.nextafter(1.0, 0.0))
+    monkeypatch.setattr(_Scripted, "SCRIPT", script)
+    monkeypatch.setattr(random, "Random", _Scripted)
+    for seed in range(3):
+        config = GeneratorConfig(
+            seed=seed, num_small_bs=3 * len(script), macro_degree=4,
+            hop_distribution=table, interference_pair_budget=5,
+        )
+        parent_of, hops, pairs = oracles.reference_generation(config)
+        topo = generate_topology(config)
+        assert {l.id: l.parent for l in topo.links} == parent_of
+        assert {l.id: l.hop_count for l in topo.links} == hops
+        assert topo.interference_pairs == tuple(sorted(pairs))
+        assert {h for h, w in table.items() if w} <= set(hops.values())
 
 
 def test_strip_interference():

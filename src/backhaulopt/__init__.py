@@ -15,7 +15,6 @@ from backhaulopt.formulations import (
     jain_index,
     min_radio_chains,
     parse_setting,
-    solve_aggregate,
     solve_equal_demand,
     solve_objective,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "parse_setting",
     "physical_rate",
     "save_topology",
-    "solve_aggregate",
     "solve_equal_demand",
     "solve_objective",
     "validate_schedule",

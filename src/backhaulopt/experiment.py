@@ -18,6 +18,7 @@ from backhaulopt.errors import NonPositiveInput, PlacementFailure
 from backhaulopt.formulations import (
     Interference,
     Objective,
+    jain_index,
     min_radio_chains,
     parse_setting,
     solve_equal_demand,
@@ -29,8 +30,9 @@ from backhaulopt.generator import (
     generate_topology,
     strip_interference,
 )
+from backhaulopt.model import float_sum
 from backhaulopt.scheduler import build_schedule
-from backhaulopt.validator import jain_index, validate_schedule
+from backhaulopt.validator import validate_schedule
 
 SETTING_NAMES = ("MI-ER", "LI-ER", "MI-LR(1)", "LI-LR(1)", "MI-LR(2)", "LI-LR(2)")
 # objective comparison runs under the most constrained regime
@@ -151,7 +153,7 @@ def write_results(results: list[TrialResult], out_dir: str) -> list[str]:
                     for r, c in zip(results, per_trial)]
             table(name, ["trial", "seed", *keys], rows)
         summary_rows += [
-            [f"{label}[{k}]", _fmt(sum(c[k] for c in per_trial) / len(results))] for k in keys
+            [f"{label}[{k}]", _fmt(float_sum(c[k] for c in per_trial) / len(results))] for k in keys
         ]
     table(
         "min_radio_chains_hist.csv",

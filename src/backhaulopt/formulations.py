@@ -15,8 +15,9 @@ ascending id), then, under LI or LR, one p_f per link in ascending link id,
 so link r's fraction is column len(demand columns) + r. MI-ER has no p_f
 columns: its fractions follow from the demands alone.
 
-The aggregate objectives are solved by the simplex. The equal-demand
-optimum has a closed form, which solve_equal_demand computes directly;
+solve_objective is the one entry point for the three objectives. The
+aggregate objectives are solved by the simplex. The equal-demand optimum has
+a closed form, which solve_equal_demand computes directly;
 build_equal_demand_lp still builds its LP, the route tests check it against.
 
 NumPy and backhaulopt.lp load with the first LP built or solved, not with
@@ -47,7 +48,7 @@ from backhaulopt.errors import (
     NonFiniteInput,
     SolverFailure,
 )
-from backhaulopt.model import NetworkTopology, json_float, json_map, schema
+from backhaulopt.model import NetworkTopology, float_sum, json_float, json_map, schema
 from backhaulopt.model import subtree_bs_set  # noqa: F401 (perfbench wraps it)
 
 if TYPE_CHECKING:
@@ -115,7 +116,7 @@ class DemandSolution:
 
     @property
     def aggregate_gbps(self) -> float:
-        return float(sum(self.per_bs.values()))
+        return float_sum(self.per_bs.values())
 
 
 def jain_index(values) -> float:
@@ -131,6 +132,15 @@ def jain_index(values) -> float:
     return num / den
 
 
+def enough_chains(topology: NetworkTopology) -> dict[int, int]:
+    """Radio chains per BS under enough radio chains: one per attached link,
+    that is one per child link plus, at a small BS, one for its inbound link."""
+    return {
+        s.id: len(topology.child_links(s.id)) + (s.kind != _model.MACRO)
+        for s in topology.stations
+    }
+
+
 def _check_topology(topology: NetworkTopology, setting: Setting) -> None:
     if topology.violations:
         raise InvalidTopology(topology.violations)
@@ -144,14 +154,8 @@ def _check_topology(topology: NetworkTopology, setting: Setting) -> None:
             "use an LI setting or strip the pairs"
         )
     if setting.radio_chains is RadioChains.ENOUGH:
-        # a BS's links are its child links plus, on a valid tree, one inbound
-        # link for every small BS
-        children = Counter(link.parent for link in topology.links)
-        short = [
-            s.id
-            for s in topology.stations
-            if s.radio_chains < children[s.id] + (s.kind == _model.SMALL)
-        ]
+        enough = enough_chains(topology)
+        short = [s.id for s in topology.stations if s.radio_chains < enough[s.id]]
         if short:
             raise InvalidTopology(
                 [
@@ -273,6 +277,12 @@ def _p_last(topology: NetworkTopology, p_first: dict[int, float]) -> dict[int, f
     return {l.id: p_first[l.id] * l.p_last_max / l.p_first_max for l in topology.links}
 
 
+def _cheapest_p_first(link, carried: float) -> float:
+    """The smallest first-link fraction that carries `carried` Gbps on link,
+    clipped to [0, P_f]: P_f * carried / C."""
+    return min(max(link.p_first_max * carried / link.capacity_gbps, 0.0), link.p_first_max)
+
+
 def _decode(
     topology: NetworkTopology, demand_cols: dict[int, int], assignment, objective: Objective
 ) -> DemandSolution:
@@ -282,12 +292,11 @@ def _decode(
     for r, link in enumerate(topology.links):
         if len(assignment) > len(demand):  # the p_f columns follow the demand columns
             p = float(assignment[len(demand) + r])
+            p_first[link.id] = min(max(p, 0.0), link.p_first_max)
         else:
-            # smallest feasible fraction for the demand the link carries
             counts = Counter(demand_cols[b] for b in topology.subtree(link.child))
-            carried = sum(count * demand[c] for c, count in counts.items())
-            p = link.p_first_max * carried / link.capacity_gbps
-        p_first[link.id] = min(max(p, 0.0), link.p_first_max)
+            carried = float_sum(count * demand[c] for c, count in counts.items())
+            p_first[link.id] = _cheapest_p_first(link, carried)
     return DemandSolution(
         objective=objective,
         per_bs=per_bs,
@@ -322,13 +331,7 @@ def solve_equal_demand(topology: NetworkTopology, setting: Setting) -> DemandSol
         bounds.extend(s.radio_chains / time[s.id] for s in topology.stations if time[s.id] > 0.0)
     d_b = min(bounds)
 
-    p_first = {
-        link.id: min(
-            max(link.p_first_max * (size[link.id] * d_b) / link.capacity_gbps, 0.0),
-            link.p_first_max,
-        )
-        for link in topology.links
-    }
+    p_first = {link.id: _cheapest_p_first(link, size[link.id] * d_b) for link in topology.links}
     return DemandSolution(
         objective=Objective.EQUAL_DEMAND,
         per_bs=dict.fromkeys(topology.small_bs_ids(), d_b),
@@ -350,23 +353,28 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
     return simplex.solve(lp, kernel)
 
 
-def solve_aggregate(
+def solve_objective(
     topology: NetworkTopology,
     setting: Setting,
-    fair: bool = False,
+    objective: Objective,
     fair_floor: float | None = None,
 ) -> DemandSolution:
-    """Aggregate-demand optimum; optionally with the max-min fairness floor.
+    """The optimum of one objective: the one entry point for all three.
 
-    fair=True first solves the equal-demand program and uses its optimum as
-    a demand floor for every small BS (two-step fair aggregate). An explicit
-    fair_floor overrides step one; an unreachable floor raises
-    InfeasibleFloor, and a floor without fair=True raises InconsistentInput.
+    EQUAL_DEMAND is solve_equal_demand's closed form. AGGREGATE and
+    AGGREGATE_FAIR solve the aggregate LP; AGGREGATE_FAIR first solves the
+    equal-demand program and uses its optimum as a demand floor for every
+    small BS (two-step fair aggregate). An explicit fair_floor overrides step
+    one; an unreachable floor raises InfeasibleFloor, and a floor with any
+    other objective raises InconsistentInput.
     """
+    fair = objective is Objective.AGGREGATE_FAIR
     if fair_floor is not None and not fair:
         raise InconsistentInput(
             f"a fair floor applies only to the {Objective.AGGREGATE_FAIR.value} objective"
         )
+    if objective is Objective.EQUAL_DEMAND:
+        return solve_equal_demand(topology, setting)
     floors = None
     floor_val = None
     if fair:
@@ -387,24 +395,10 @@ def solve_aggregate(
         raise InfeasibleFloor(f"no feasible demand vector with floor {floor_val}")
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverFailure(f"aggregate LP was {sol.status.value}")
-    objective = Objective.AGGREGATE_FAIR if fair else Objective.AGGREGATE
     out = _decode(topology, demand_cols, sol.assignment, objective)
     out.fair_floor_gbps = floor_val
     out.lp_iterations = sol.iterations
     return out
-
-
-def solve_objective(
-    topology: NetworkTopology,
-    setting: Setting,
-    objective: Objective,
-    fair_floor: float | None = None,
-) -> DemandSolution:
-    if objective is Objective.EQUAL_DEMAND and fair_floor is None:
-        return solve_equal_demand(topology, setting)
-    # solve_aggregate refuses a floor that comes without the fair objective
-    fair = objective is Objective.AGGREGATE_FAIR
-    return solve_aggregate(topology, setting, fair=fair, fair_floor=fair_floor)
 
 
 def chain_time(topology: NetworkTopology, share: dict[int, float]) -> dict[int, float]:

@@ -11,17 +11,17 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 
 from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
 from backhaulopt.errors import InconsistentInput, InfeasibleConfig, NonFiniteInput, NonPositiveInput
-from backhaulopt.formulations import RadioChains, Setting
+from backhaulopt.formulations import RadioChains, Setting, enough_chains
 from backhaulopt.model import (
     MACRO,
     SMALL,
     BaseStation,
     NetworkTopology,
+    float_sum,
     make_link,
 )
 
@@ -62,7 +62,7 @@ def _check_config(config: GeneratorConfig) -> None:
         raise InfeasibleConfig("hop_distribution needs integer hops >= 1, weights >= 0")
     # summed in the draw's order: a NaN or +inf weight, or a sum past the
     # float range, would draw every link at one count
-    total = sum(w for _, w in sorted(hops.items()))
+    total = float_sum(w for _, w in sorted(hops.items()))
     if not math.isfinite(total):
         raise NonFiniteInput(f"hop_distribution weights must have a finite sum, got {total}")
     if total <= 0:
@@ -170,11 +170,11 @@ def adapt_topology(
     interference regime is the caller's concern (see strip_interference).
     Only the chain counts change, so the result shares the tree index.
     """
-    children = Counter(link.parent for link in topology.links)
+    enough = enough_chains(topology) if setting.radio_chains is RadioChains.ENOUGH else None
     stations = []
     for s in topology.stations:
-        if setting.radio_chains is RadioChains.ENOUGH:
-            count = children[s.id] + (0 if s.kind == MACRO else 1)
+        if enough is not None:
+            count = enough[s.id]
         elif s.kind == MACRO:
             if macro_chains is None or macro_chains < 1:
                 raise InconsistentInput(

@@ -30,6 +30,17 @@ MACRO = "macro"
 SMALL = "small"
 
 
+def float_sum(values: Iterable[float]) -> float:
+    """The floats added left to right, uncompensated: what sum() gives up to
+    Python 3.11. From 3.12 on sum() compensates, which moves the last bit of
+    some totals, so every float total the package writes or judges is taken
+    here and its bytes do not depend on the Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _slot_setters(cls) -> tuple:
     """The __set__ of each field's slot, in field order.
 
@@ -263,19 +274,6 @@ class NetworkTopology:
         if bs_id not in self._station_by_id:
             raise UnknownBS(f"no base station with id {bs_id}")
         return self._link_by_id.get(bs_id)
-
-    def partners(self, link_id: int) -> list[int]:
-        """Ids of links interfering with link_id, ascending: one per end of a
-        pair between two known links that names it."""
-        links = self._link_by_id
-        out = []
-        for a, b in self.interference_pairs:
-            if a in links and b in links:
-                if a == link_id:
-                    out.append(b)
-                if b == link_id:
-                    out.append(a)
-        return out
 
     def subtree(self, bs_id: int) -> tuple[int, ...]:
         """BS ids under bs_id in preorder, child links by ascending id; a slice of the macro's."""

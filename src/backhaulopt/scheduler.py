@@ -307,9 +307,6 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
         raise InvalidTopology(topology.violations)
     state = _State(topology)
     plans = {l.id: _plan_for(l, p_first) for l in topology.links}
-    children: dict[int, list[_Plan]] = {}
-    for plan in plans.values():  # ascending link id
-        children.setdefault(plan.link.parent, []).append(plan)
     # per BS, its interfering sibling pairs by lower id and the child link
     # paired with the link into it: one partner per link, by the
     # one-partner-per-BS rule
@@ -325,8 +322,8 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
             inbound_partner[la.parent] = plans[a]
 
     for bs in topology.subtree(topology.macro.id):
-        local = children.get(bs)
-        if local is None:
+        local = topology.child_links(bs)  # ascending link id
+        if not local:
             continue  # a leaf places nothing
         first = inbound_partner.get(bs)
         if first is not None:
@@ -336,8 +333,9 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
             _place_link(state, first, forbidden=plans[bs].footprint)
 
         # links with no partner among the local links
-        for plan in local:
-            if plan is not first and plan.link.id not in paired:
+        for link in local:
+            plan = plans[link.id]
+            if plan is not first and link.id not in paired:
                 _place_link(state, plan, forbidden=[])
 
         # interfering pairs, by their lower id: both actives first, then both

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 from backhaulopt.errors import AllZeroDemands, InvalidTopology, NonFiniteInput
 from backhaulopt.formulations import DemandSolution, _p_last, jain_index, min_radio_chains
-from backhaulopt.model import NetworkTopology, Violation, json_float, json_int, json_map, schema
+from backhaulopt.model import NetworkTopology, Violation, float_sum, json_float, json_int, json_map, schema
 from backhaulopt.model import subtree_bs_set  # noqa: F401 (perfbench wraps it)
 from backhaulopt.scheduler import Schedule
 
@@ -322,7 +322,7 @@ def validate_schedule(
         # summed in each subtree's preorder, as the slices of one list
         per_bs = [demands.get(b, 0.0) for b in topology.subtree(topology.macro.id)]
         for link, span in zip(topology.links, spans):
-            need = float(sum(per_bs[span]))
+            need = float_sum(per_bs[span])
             share = shares.get(link.id)  # a link without a schedule entry has none
             # negated passing test, so a NaN or infinite need is flagged
             if share is not None and not share >= need / link.capacity_gbps - TOL_INTERVAL:

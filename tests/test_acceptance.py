@@ -22,7 +22,6 @@ from backhaulopt import (
     min_radio_chains,
     parse_setting,
     physical_rate,
-    solve_aggregate,
     solve_equal_demand,
     solve_objective,
     validate_schedule,
@@ -180,10 +179,10 @@ def test_criterion_3_lp_matches_enumeration():
         equal = solve_equal_demand(topo, setting).d_b_gbps
         worst = max(worst, abs(equal - equal_demand_bound(topo, setting)))
 
-        agg = solve_aggregate(topo, setting).aggregate_gbps
+        agg = solve_objective(topo, setting, Objective.AGGREGATE).aggregate_gbps
         worst = max(worst, abs(agg - aggregate_bound(topo, setting)[0]))
 
-        fair = solve_aggregate(topo, setting, fair=True)
+        fair = solve_objective(topo, setting, Objective.AGGREGATE_FAIR)
         floor = equal_demand_bound(topo, setting)
         floors = {b: floor for b in topo.small_bs_ids()}
         worst = max(worst, abs(fair.fair_floor_gbps - floor))

@@ -20,6 +20,7 @@ from backhaulopt.errors import (
 )
 from backhaulopt.experiment import SETTING_NAMES
 from backhaulopt.formulations import (
+    DemandSolution,
     Interference,
     Objective,
     RadioChains,
@@ -31,7 +32,6 @@ from backhaulopt.formulations import (
     parse_setting,
     solution_from_dict,
     solution_to_dict,
-    solve_aggregate,
     solve_equal_demand,
     solve_objective,
 )
@@ -108,14 +108,14 @@ def test_small_bs_chain_budget_frozen():
 def test_chain_aggregate_frozen():
     # all demand rides link 1: D_1 + D_2 <= 6.65
     topo = helpers.chain(hops=(2, 3))
-    sol = solve_aggregate(topo, MI_ER)
+    sol = solve_objective(topo, MI_ER, Objective.AGGREGATE)
     assert sol.aggregate_gbps == pytest.approx(6.65, abs=1e-9)
 
 
 def test_fair_star_frozen():
     # uncoupled single-hop star: fair changes nothing, both BSs get 13.3
     topo = helpers.star(2, hop=1)
-    fair = solve_aggregate(topo, MI_ER, fair=True)
+    fair = solve_objective(topo, MI_ER, Objective.AGGREGATE_FAIR)
     assert fair.fair_floor_gbps == pytest.approx(13.3, abs=1e-9)
     assert fair.aggregate_gbps == pytest.approx(26.6, abs=1e-9)
 
@@ -124,8 +124,8 @@ def test_fair_splits_shared_chain_evenly():
     # one macro chain couples the two links: aggregate alone may starve one
     # BS; the floor forces the 6.65/6.65 split, same total
     topo = helpers.star(2, hop=1, chains={0: 1})
-    plain = solve_aggregate(topo, MI_LR)
-    fair = solve_aggregate(topo, MI_LR, fair=True)
+    plain = solve_objective(topo, MI_LR, Objective.AGGREGATE)
+    fair = solve_objective(topo, MI_LR, Objective.AGGREGATE_FAIR)
     assert plain.aggregate_gbps == pytest.approx(13.3, abs=1e-9)
     assert fair.aggregate_gbps == pytest.approx(13.3, abs=1e-9)
     assert fair.per_bs[1] == pytest.approx(6.65, abs=1e-9)
@@ -135,7 +135,7 @@ def test_fair_splits_shared_chain_evenly():
 def test_explicit_unreachable_floor_raises():
     topo = helpers.star(2, hop=1)
     with pytest.raises(InfeasibleFloor):
-        solve_aggregate(topo, MI_ER, fair=True, fair_floor=100.0)
+        solve_objective(topo, MI_ER, Objective.AGGREGATE_FAIR, fair_floor=100.0)
 
 
 def test_min_radio_chains_frozen():
@@ -213,13 +213,13 @@ def test_matches_enumeration_for_aggregate_objectives():
             src = bare if setting.interference is Interference.MINIMAL else base
             topo = adapt_topology(src, setting, macro_chains=k)
             want, _ = oracles.aggregate_bound(topo, setting)
-            got = solve_aggregate(topo, setting)
+            got = solve_objective(topo, setting, Objective.AGGREGATE)
             assert got.aggregate_gbps == pytest.approx(want, abs=1e-6), (seed, name)
             floor = oracles.equal_demand_bound(topo, setting)
             want_fair, _ = oracles.aggregate_bound(
                 topo, setting, floors=dict.fromkeys(topo.small_bs_ids(), floor)
             )
-            fair = solve_aggregate(topo, setting, fair=True)
+            fair = solve_objective(topo, setting, Objective.AGGREGATE_FAIR)
             assert fair.aggregate_gbps == pytest.approx(want_fair, abs=1e-6), (seed, name)
             assert min(fair.per_bs.values()) >= floor - 1e-9
 
@@ -230,6 +230,12 @@ def test_fair_floor_defaults_to_equal_demand_optimum():
     fair = solve_objective(topo, MI_ER, Objective.AGGREGATE_FAIR)
     assert fair.fair_floor_gbps == pytest.approx(equal.d_b_gbps, abs=1e-12)
     assert min(fair.per_bs.values()) >= equal.d_b_gbps - 1e-9
+
+
+def test_aggregate_is_summed_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16 at each step; a compensated sum gives 1e16 + 2
+    sol = DemandSolution(Objective.AGGREGATE, {1: 1e16, 2: 1.0, 3: 1.0}, {}, {})
+    assert sol.aggregate_gbps == 1e16
 
 
 def test_solution_dict_round_trip():
@@ -248,7 +254,7 @@ def test_solution_dict_round_trip():
 
 def test_solution_from_dict_rejects_non_finite_numbers():
     topo = helpers.chain(hops=(2, 3))
-    data = solution_to_dict(topo, solve_aggregate(topo, MI_ER, fair=True))
+    data = solution_to_dict(topo, solve_objective(topo, MI_ER, Objective.AGGREGATE_FAIR))
     for field in ("per_bs", "p_first", "p_last", "d_b_gbps", "fair_floor_gbps"):
         for value in (float("nan"), float("inf"), -float("inf")):
             bad = copy.deepcopy(data)
@@ -262,7 +268,7 @@ def test_solution_from_dict_rejects_non_finite_numbers():
 
 def test_solution_from_dict_rejects_negative_numbers():
     topo = helpers.chain(hops=(2, 3))
-    data = solution_to_dict(topo, solve_aggregate(topo, MI_ER, fair=True))
+    data = solution_to_dict(topo, solve_objective(topo, MI_ER, Objective.AGGREGATE_FAIR))
     for field in ("per_bs", "p_first", "p_last", "d_b_gbps", "fair_floor_gbps"):
         bad = copy.deepcopy(data)
         if isinstance(bad[field], dict):
@@ -278,17 +284,16 @@ def test_solution_from_dict_rejects_negative_numbers():
 def test_explicit_fair_floor_must_be_a_nonnegative_number():
     topo = helpers.star(2, hop=1)
     with pytest.raises(InconsistentInput, match="negative"):
-        solve_aggregate(topo, MI_ER, fair=True, fair_floor=-1.0)
+        solve_objective(topo, MI_ER, Objective.AGGREGATE_FAIR, fair_floor=-1.0)
     with pytest.raises(NonFiniteInput):
-        solve_aggregate(topo, MI_ER, fair=True, fair_floor=float("nan"))
-    assert solve_aggregate(topo, MI_ER, fair=True, fair_floor=0.0).fair_floor_gbps == 0.0
+        solve_objective(topo, MI_ER, Objective.AGGREGATE_FAIR, fair_floor=float("nan"))
+    zero = solve_objective(topo, MI_ER, Objective.AGGREGATE_FAIR, fair_floor=0.0)
+    assert zero.fair_floor_gbps == 0.0
 
 
 def test_fair_floor_needs_the_fair_objective():
     # a floor that the objective would drop is refused, never silently ignored
     topo = helpers.star(2, hop=1)
-    with pytest.raises(InconsistentInput, match="aggregate_fair"):
-        solve_aggregate(topo, MI_ER, fair_floor=1.0)
     for objective in (Objective.EQUAL_DEMAND, Objective.AGGREGATE):
         with pytest.raises(InconsistentInput, match="aggregate_fair"):
             solve_objective(topo, MI_ER, objective, fair_floor=1.0)
@@ -356,7 +361,7 @@ def test_demand_lps_and_decodes_frozen():
         small = topo.small_bs_ids()
         floors = {b: 0.25 * (1 + i % 3) for i, b in enumerate(small)}
         _hash_lp(digest, build_aggregate_lp(topo, setting, floors)[0])
-        sol = solve_aggregate(topo, setting)
+        sol = solve_objective(topo, setting, Objective.AGGREGATE)
         _hash_values(digest, "per_bs", sol.per_bs)
         _hash_values(digest, "p_first", sol.p_first)
     assert digest.hexdigest() == (
@@ -509,8 +514,8 @@ def test_closed_form_matches_the_lp_route():
     assert len(cases) >= 1000
     for topo, setting in cases:
         want = _assert_matches_lp_route(topo, setting)
-        fair = solve_aggregate(topo, setting, fair=True)
-        fair_lp = solve_aggregate(topo, setting, fair=True, fair_floor=want.d_b_gbps)
+        fair = solve_objective(topo, setting, Objective.AGGREGATE_FAIR)
+        fair_lp = solve_objective(topo, setting, Objective.AGGREGATE_FAIR, fair_floor=want.d_b_gbps)
         assert fair.aggregate_gbps == pytest.approx(
             fair_lp.aggregate_gbps, rel=1e-15, abs=0.0
         ), (setting.name, len(topo.links))

@@ -16,7 +16,9 @@ from backhaulopt import validator
 from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
 from backhaulopt.errors import AllZeroDemands
 from backhaulopt.formulations import (
+    DemandSolution,
     Interference,
+    Objective,
     _p_last,
     parse_setting,
     solution_to_dict,
@@ -621,3 +623,162 @@ def test_chain_time_past_the_float_range_claims_no_count():
     assert _lines(derived_field_violations(topo, huge, chains)) == [
         f"DerivedFieldMismatch(min_radio_chains[B{b}] claims 1 but is nothing)" for b in (0, 1, 2)
     ]
+
+
+# -- each threshold, just past it and just inside it ---------------------------
+# Every TOL_INTERVAL comparison of validate_schedule and derived_field_violations
+# meets a tamper of twice its threshold, which is reported, and one of half
+# of it, which is not. The base case is two 2-hop links from the macro, each
+# at p_f = 0.2: a footprint of 0.4 of the frame, first link then last link,
+# with slack around each so a tamper moves one comparison only.
+
+TOL = validator.TOL_INTERVAL
+_BASE = {
+    1: ([(0.0, 0.4)], [(0, 0.0, 0.2)], [(0, 0.2, 0.4)]),
+    2: ([(0.5, 0.9)], [(0, 0.5, 0.7)], [(0, 0.7, 0.9)]),
+}
+_CAPACITY = helpers.RATE / 2  # of a 2-hop link
+
+
+def _shifted(lid, d):
+    """Link lid's base schedule, every piece moved by d."""
+    footprint, parent, child = _BASE[lid]
+    return (
+        [(s + d, e + d) for s, e in footprint],
+        [(c, s + d, e + d) for c, s, e in parent],
+        [(c, s + d, e + d) for c, s, e in child],
+    )
+
+
+def _split_footprint(entry):
+    """The same schedule with its one footprint piece cut in two at its middle."""
+    ((s, e),), parent, child = entry
+    return [(s, (s + e) / 2), ((s + e) / 2, e)], parent, child
+
+
+# name: (tamper by eps of the frame -> (changed links, validate keywords,
+# interference pairs), detail reported past the threshold)
+_SCHEDULE_THRESHOLDS = {
+    "frame_start_one_piece": (
+        lambda eps: ({1: _shifted(1, -eps)}, {}, ()), "link 1 footprint leaves the frame"),
+    "frame_start_two_pieces": (
+        lambda eps: ({1: _split_footprint(_shifted(1, -eps))}, {}, ()),
+        "link 1 footprint leaves the frame"),
+    "frame_end_one_piece": (
+        lambda eps: ({2: _shifted(2, 0.1 + eps)}, {}, ()), "link 2 footprint leaves the frame"),
+    "frame_end_two_pieces": (
+        lambda eps: ({2: _split_footprint(_shifted(2, 0.1 + eps))}, {}, ()),
+        "link 2 footprint leaves the frame"),
+    "reversed_piece": (
+        lambda eps: ({1: ([(0.0, 0.4), (0.3, 0.3 - eps)], *_BASE[1][1:])}, {}, ()),
+        "link 1 footprint leaves the frame"),
+    "reversed_lone_piece": (
+        lambda eps: ({1: ([(0.3, 0.3 - eps)], [], [])}, {}, ()),
+        "link 1 footprint leaves the frame"),
+    "footprint_self_overlap": (
+        lambda eps: ({1: ([(0.0, 0.2 + eps), (0.2, 0.4)], *_BASE[1][1:])}, {}, ()),
+        "link 1 footprint intervals overlap"),
+    "footprint_against_duty": (
+        lambda eps: ({1: ([(0.0, 0.4 + eps)], *_BASE[1][1:])}, {}, ()),
+        "link 1 footprint 0.4"),
+    "active_outside_footprint": (
+        lambda eps: ({1: (*_BASE[1][:2], [(0, 0.2 + eps, 0.4 + eps)])}, {}, ()),
+        "link 1 last link transmits"),
+    "one_side_on_two_chains": (
+        lambda eps: ({1: (_BASE[1][0], [(0, 0.0, 0.1 + eps), (1, 0.1, 0.2 - eps)],
+                          _BASE[1][2])}, {}, ()),
+        "link 1 first link transmits on two chains at once"),
+    "endpoint_overlap": (
+        lambda eps: ({1: (*_BASE[1][:2], [(0, 0.2 - eps, 0.4 - eps)])}, {}, ()),
+        "link 1 first and last links overlap"),
+    # the ratio threshold is 2 * TOL_INTERVAL, and this tamper moves the
+    # compared shares by 2 * eps
+    "first_last_ratio": (
+        lambda eps: ({1: (*_BASE[1][:2], [(0, 0.2, 0.4 - eps)])}, {}, ()),
+        "link 1 first/last active times"),
+    "p_first_pin": (
+        lambda eps: ({}, {"p_first": {1: 0.2 + eps, 2: 0.2}}, ()),
+        "link 1 first-link active"),
+    "double_drive": (
+        lambda eps: ({2: _shifted(2, -0.3 - eps)}, {}, ()),
+        "chain 0 at B0 is double-driven"),
+    "interference_overlap": (
+        lambda eps: ({2: _shifted(2, -0.1 - eps)}, {}, [(1, 2)]),
+        "interfering links 1 and 2 overlap"),
+    "capacity_shortfall": (
+        lambda eps: ({}, {"demands": {1: (0.4 + eps) * _CAPACITY, 2: 0.0}}, ()),
+        "link 1 realizes"),
+}
+
+
+def _threshold_report(tamper, eps):
+    links, kwargs, pairs = tamper(eps)
+    topo = helpers.star(2, hop=2, pairs=pairs)
+    schedule = Schedule(links={
+        lid: LinkSchedule(*links.get(lid, _BASE[lid])) for lid in sorted(_BASE)
+    })
+    return _details(validate_schedule(topo, schedule, **kwargs))
+
+
+def test_threshold_base_case_is_clean():
+    tight = {"p_first": {1: 0.2, 2: 0.2}, "demands": {1: 0.4 * _CAPACITY, 2: 0.4 * _CAPACITY}}
+    assert _threshold_report(lambda eps: ({}, tight, [(1, 2)]), 0.0) == []
+    assert helpers.star(2, hop=2).link(1).capacity_gbps == _CAPACITY
+
+
+@pytest.mark.parametrize("name", list(_SCHEDULE_THRESHOLDS))
+def test_schedule_threshold_reports_past_it_and_not_inside_it(name):
+    tamper, detail = _SCHEDULE_THRESHOLDS[name]
+    past = _threshold_report(tamper, 2 * TOL)
+    assert any(d.startswith(detail) for d in past), past
+    assert _threshold_report(tamper, 0.5 * TOL) == []
+
+
+def test_a_chain_index_equal_to_the_chain_count_is_reported():
+    # the macro has two chains and each small BS one
+    topo = helpers.star(2, hop=2)
+    for side, chains in ((1, 2), (2, 1)):
+        for chain in (chains, chains - 1):
+            entry = list(_BASE[1])
+            entry[side] = [(chain, s, e) for _, s, e in entry[side]]
+            schedule = Schedule(links={1: LinkSchedule(*entry), 2: LinkSchedule(*_BASE[2])})
+            details = _details(validate_schedule(topo, schedule))
+            if chain == chains:
+                label, bs = ("first link", 0) if side == 1 else ("last link", 1)
+                assert details == [f"link 1 {label} uses chain {chain} at B{bs} "
+                                   f"which has {chains} radio chains"]
+            else:
+                assert details == []
+
+
+# name: (tamper by a relative eps -> (solution changes, solution file claims),
+# detail reported past the threshold); per_bs is 2.0 at both small BSs
+_DERIVED_THRESHOLDS = {
+    "p_last": (lambda eps: ({"p_last": {1: 0.2 + eps, 2: 0.2}}, {}),
+               "link 1 solution last-link fraction"),
+    "d_b_gbps": (lambda eps: ({"d_b_gbps": 2.0 * (1 + eps)}, {}), "d_b_gbps claims"),
+    "fair_floor_gbps": (lambda eps: ({"fair_floor_gbps": 2.0 * (1 + eps)}, {}),
+                        "fair_floor_gbps claims"),
+    "aggregate_gbps": (lambda eps: ({}, {"aggregate_gbps": 4.0 * (1 + eps)}),
+                       "aggregate_gbps claims"),
+    "jain_index": (lambda eps: ({}, {"jain_index": 1.0 + eps}), "jain_index claims"),
+}
+
+
+_SOLUTION = {"per_bs": {1: 2.0, 2: 2.0}, "p_first": {1: 0.2, 2: 0.2},
+             "p_last": {1: 0.2, 2: 0.2}, "d_b_gbps": 2.0, "fair_floor_gbps": 2.0}
+
+
+def _derived_details(tamper, eps):
+    changes, data = tamper(eps)
+    sol = DemandSolution(Objective.EQUAL_DEMAND, **{**_SOLUTION, **changes})
+    return [v.detail for v in derived_field_violations(helpers.star(2, hop=2), sol, data)]
+
+
+@pytest.mark.parametrize("name", list(_DERIVED_THRESHOLDS))
+def test_derived_threshold_reports_past_it_and_not_inside_it(name):
+    tamper, detail = _DERIVED_THRESHOLDS[name]
+    assert _derived_details(lambda eps: ({}, {}), 0.0) == []
+    past = _derived_details(tamper, 2 * TOL)
+    assert any(d.startswith(detail) for d in past), past
+    assert _derived_details(tamper, 0.5 * TOL) == []

@@ -14,7 +14,6 @@ import os
 import sys
 import traceback
 
-from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
 from backhaulopt.errors import BackhaulError, InconsistentInput, Infeasible
 from backhaulopt.experiment import ExperimentConfig, run_experiment, write_results
 from backhaulopt.formulations import (
@@ -50,16 +49,24 @@ def _seed_for(args) -> int:
     return args.seed
 
 
+# each size flag's dest, the config field it sets, its type and its help
+_SIZE_FLAGS = (
+    ("small_bs", "num_small_bs", int, "number of small BSs"),
+    ("macro_degree", "macro_degree", int, "children of the macro BS"),
+    ("max_children", "max_small_children", int, "children per small BS"),
+    ("pairs", "interference_pair_budget", int, "interference pairs to draw (default %(default)s)"),
+    ("phy_rate", "phy_rate_gbps", float, "physical link rate in Gbps"),
+)
+
+
+def _config(cls, args, **fields):
+    """A GeneratorConfig or ExperimentConfig from --seed, the size flags and fields."""
+    sizes = {field: getattr(args, dest) for dest, field, _, _ in _SIZE_FLAGS}
+    return cls(seed=_seed_for(args), **sizes, **fields)
+
+
 def cmd_generate(args) -> int:
-    config = GeneratorConfig(
-        seed=_seed_for(args),
-        num_small_bs=args.small_bs,
-        macro_degree=args.macro_degree,
-        max_small_children=args.max_children,
-        interference_pair_budget=args.pairs,
-        phy_rate_gbps=args.phy_rate,
-    )
-    write_json(topology_to_dict(generate_topology(config)), args.out)
+    write_json(topology_to_dict(generate_topology(_config(GeneratorConfig, args))), args.out)
     return 0
 
 
@@ -107,41 +114,28 @@ def cmd_validate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = ExperimentConfig(
-        seed=_seed_for(args),
-        trials=args.trials,
-        num_small_bs=args.small_bs,
-        macro_degree=args.macro_degree,
-        max_small_children=args.max_children,
-        interference_pair_budget=args.pairs,
-        phy_rate_gbps=args.phy_rate,
-    )
-    results = run_experiment(config)
+    results = run_experiment(_config(ExperimentConfig, args, trials=args.trials))
     for path in write_results(results, args.out_dir):
         print(path)
     return 0
 
 
-def _add_size_flags(sub, pairs: int) -> None:
-    sub.add_argument("--small-bs", type=int, default=20, help="number of small BSs")
-    sub.add_argument("--macro-degree", type=int, default=8, help="children of the macro BS")
-    sub.add_argument("--max-children", type=int, default=2, help="children per small BS")
-    sub.add_argument("--pairs", type=int, default=pairs,
-                     help="interference pairs to draw (default %(default)s)")
-    sub.add_argument(
-        "--phy-rate", type=float, default=DEFAULT_PHY_RATE_GBPS,
-        help="physical link rate in Gbps",
-    )
+def _add_size_flags(sub, defaults) -> None:
+    """The size flags, defaulting to the fields of a config instance."""
+    for dest, field, kind, text in _SIZE_FLAGS:
+        sub.add_argument("--" + dest.replace("_", "-"), type=kind,
+                         default=getattr(defaults, field), help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="backhaulopt", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    gen_defaults = GeneratorConfig()
     gen = subs.add_parser("generate", help="draw a random tree topology")
-    gen.add_argument("--seed", type=int, default=0,
+    gen.add_argument("--seed", type=int, default=gen_defaults.seed,
                      help=f"rng seed ({SEED_ENV} overrides when set)")
-    _add_size_flags(gen, pairs=0)
+    _add_size_flags(gen, gen_defaults)
     gen.add_argument("--out", default="-", help="topology JSON path, - for stdout")
     gen.set_defaults(func=cmd_generate)
 
@@ -168,12 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("schedule")
     val.set_defaults(func=cmd_validate)
 
+    exp_defaults = ExperimentConfig()
     exp = subs.add_parser("experiment", help="run the batch simulation")
-    exp.add_argument("--seed", type=int, default=1,
+    exp.add_argument("--seed", type=int, default=exp_defaults.seed,
                      help=f"base seed ({SEED_ENV} overrides when set)")
-    exp.add_argument("--trials", type=int, default=50)
+    exp.add_argument("--trials", type=int, default=exp_defaults.trials)
     # the paper's batch draws interference pairs; with none, LI equals MI
-    _add_size_flags(exp, pairs=ExperimentConfig().interference_pair_budget)
+    _add_size_flags(exp, exp_defaults)
     exp.add_argument("--out-dir", default="results", help="directory for the CSV files")
     exp.set_defaults(func=cmd_experiment)
 

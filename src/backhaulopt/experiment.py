@@ -13,7 +13,6 @@ import csv
 import os
 from dataclasses import dataclass, field
 
-from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
 from backhaulopt.errors import NonPositiveInput, PlacementFailure
 from backhaulopt.formulations import (
     Interference,
@@ -44,11 +43,11 @@ OBJECTIVE_NAMES = tuple(o.value for o in Objective)
 class ExperimentConfig:
     seed: int = 1
     trials: int = 50
-    num_small_bs: int = 20
-    macro_degree: int = 8
-    max_small_children: int = 2
+    num_small_bs: int = GeneratorConfig.num_small_bs
+    macro_degree: int = GeneratorConfig.macro_degree
+    max_small_children: int = GeneratorConfig.max_small_children
     interference_pair_budget: int = 6
-    phy_rate_gbps: float = DEFAULT_PHY_RATE_GBPS
+    phy_rate_gbps: float = GeneratorConfig.phy_rate_gbps
 
 
 @dataclass

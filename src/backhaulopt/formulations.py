@@ -91,6 +91,8 @@ def parse_setting(name: str) -> tuple[Setting, int | None]:
     limited-radio-chain budget is (re)assigned; it is returned separately
     since the Setting itself only carries the two regime switches.
     """
+    if not isinstance(name, str):
+        raise InconsistentInput(f"unknown setting name {name!r}")
     m = _SETTING_RE.match(name.strip())
     if not m:
         raise InconsistentInput(f"unknown setting name {name!r}")

@@ -58,11 +58,16 @@ def _check_config(config: GeneratorConfig) -> None:
             "small BSs beyond the macro's direct children need somewhere to attach"
         )
     hops = config.hop_distribution
-    if not hops or any(type(h) is not int or h < 1 or w < 0 for h, w in hops.items()):
+    # a hop or a weight that is a bool is refused, as a count is
+    if not hops or any(type(h) is not int or h < 1 or type(w) not in (int, float) or w < 0
+                       for h, w in hops.items()):
         raise InfeasibleConfig("hop_distribution needs integer hops >= 1, weights >= 0")
     # summed in the draw's order: a NaN or +inf weight, or a sum past the
     # float range, would draw every link at one count
-    total = float_sum(w for _, w in sorted(hops.items()))
+    try:
+        total = float_sum(w for _, w in sorted(hops.items()))
+    except OverflowError:  # an int weight past the float range
+        total = math.inf
     if not math.isfinite(total):
         raise NonFiniteInput(f"hop_distribution weights must have a finite sum, got {total}")
     if total <= 0:
@@ -125,13 +130,14 @@ def _draw_pairs(rng: random.Random, links, budget: int) -> list[tuple[int, int]]
     """Sample interference pairs: each pair shares a BS and no link gets a
     second partner at the same BS.
 
-    The candidates are every (a, b, bs) with links a < b meeting at bs,
-    sorted by (a, b), and each draw is a uniform choice among those still
-    allowed. In a tree two links meet at one BS at most, so a draw of
-    (a, b, bs) rules out exactly the candidates at bs that hold a or b.
+    The links come in ascending id. The candidates are every (a, b, bs)
+    with links a < b meeting at bs, sorted by (a, b), and each draw is a
+    uniform choice among those still allowed. In a tree two links meet at
+    one BS at most, so a draw of (a, b, bs) rules out exactly the
+    candidates at bs that hold a or b.
     """
     incident: dict[int, list[int]] = {}
-    for l in sorted(links, key=lambda l: l.id):
+    for l in links:
         incident.setdefault(l.parent, []).append(l.id)
         incident.setdefault(l.child, []).append(l.id)
     candidates = sorted(

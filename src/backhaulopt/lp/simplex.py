@@ -143,7 +143,7 @@ def solve(lp: LinearProgram, kernel=None) -> LpSolution:
 
     y = np.zeros(n + n_slack)
     y[basis] = T2[:m, n + n_slack]
-    y[(y < 0) & (y > -1e-9)] = 0.0
+    y[(y < 0) & (y > -PIVOT_TOL)] = 0.0
     x = y[:n] + shift
     value = float(lp.objective @ x)
     residual = _max_violation(lp, x, row_sense)

@@ -28,6 +28,7 @@ from backhaulopt.errors import InconsistentInput, NonFiniteInput, UnknownBS
 
 MACRO = "macro"
 SMALL = "small"
+TOL_INTERVAL = 1e-9  # the validator's frame-time tolerance, which the scheduler's grid meets
 
 
 def float_sum(values: Iterable[float]) -> float:

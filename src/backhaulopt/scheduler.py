@@ -41,17 +41,16 @@ from backhaulopt.errors import (
     NonFiniteInput,
     PlacementFailure,
 )
-from backhaulopt.model import NetworkTopology, json_float, json_int, json_map, schema
+from backhaulopt.model import TOL_INTERVAL, NetworkTopology, json_float, json_int, json_map, schema
 
 GRID = 10**12
-# Placement may come up short by LP round-off; anything within this many grid
-# units (5e-10 of the frame, half the validator tolerance) is trimmed, larger
-# gaps are honest placement failures.
-TRIM_CAP = 500
 # The validator's TOL_INTERVAL in grid units, and what its float sums of frame
 # times may be off by, 1e-15 of the frame (a few ulps), in grid units at duty 1.
-TOL_GRID = 1000
+TOL_GRID = round(TOL_INTERVAL * GRID)
 FLOAT_SPARE = 1e-3
+# Placement may come up short by LP round-off; anything within half the
+# validator tolerance is trimmed, larger gaps are honest placement failures.
+TRIM_CAP = TOL_GRID // 2
 
 Interval = tuple[float, float]
 
@@ -154,18 +153,18 @@ class _Plan:
 
 class _State:
     def __init__(self, topology: NetworkTopology):
-        self.busy: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # per BS, the merged busy lists of its occupied chains, from chain 0
+        self.chains = {s.id: [] for s in topology.stations}
         self.budget = {s.id: s.radio_chains for s in topology.stations}
-        self.used = dict.fromkeys(self.budget, 0)  # chains 0 .. used - 1 hold intervals
 
     def occupy(self, bs: int, chain: int, pieces: list[tuple[int, int]]) -> None:
-        busy = self.busy.setdefault((bs, chain), [])
+        """Place pieces on a chain in use, or on the first free one, which they occupy."""
+        chains = self.chains[bs]
+        busy = chains[chain] if chain < len(chains) else []
         for s, e in pieces:
             _insert(busy, s, e)
-        if busy and chain == self.used[bs]:
-            while self.busy.get((bs, chain)):
-                chain += 1
-            self.used[bs] = chain
+        if busy and chain == len(chains):  # a free chain joins with its first piece
+            chains.append(busy)
 
     def chains_in_use(self, bs: int) -> range:
         """The chains of bs that hold intervals, then the first free one.
@@ -174,12 +173,11 @@ class _State:
         contiguous from 0, and every free chain places like the first free
         one: a station may declare any number of chains at no cost.
         """
-        used, budget = self.used[bs], self.budget[bs]
-        return range(used + 1 if used < budget else budget)
+        return range(min(len(self.chains[bs]) + 1, self.budget[bs]))
 
     def all_busy(self, bs: int) -> list[tuple[int, int]]:
         """Union of the chains of bs; one busy chain is its own union."""
-        lists = [self.busy[bs, c] for c in range(min(self.used[bs], self.budget[bs]))]
+        lists = self.chains[bs]
         return lists[0] if len(lists) == 1 else _merge([p for busy in lists for p in busy])
 
 
@@ -234,11 +232,12 @@ def _place_actives(state: _State, plan: _Plan, forbidden: list[tuple[int, int]])
     bs = plan.link.parent
     remaining = plan.active_time
     pieces, active = [], []
+    chains = state.chains[bs]
     for chain in state.chains_in_use(bs):
         if remaining <= 0:
             break
         # every list here is merged already, and so are the pieces of one walk
-        busy = state.busy.get((bs, chain), [])
+        busy = chains[chain] if chain < len(chains) else []
         blocked = _merge(busy + forbidden + active) if forbidden or active else busy
         taken, remaining = _take_free(blocked, remaining)
         if taken:

@@ -47,11 +47,10 @@ from dataclasses import dataclass, field
 
 from backhaulopt.errors import AllZeroDemands, InvalidTopology, NonFiniteInput
 from backhaulopt.formulations import DemandSolution, _p_last, jain_index, min_radio_chains
-from backhaulopt.model import NetworkTopology, Violation, float_sum, json_float, json_int, json_map, schema
+from backhaulopt.model import (TOL_INTERVAL, NetworkTopology, Violation, float_sum, json_float,
+                               json_int, json_map, schema)
 from backhaulopt.model import subtree_bs_set  # noqa: F401 (perfbench wraps it)
 from backhaulopt.scheduler import Schedule
-
-TOL_INTERVAL = 1e-9
 
 Interval = tuple[float, float]
 

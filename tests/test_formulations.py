@@ -59,6 +59,10 @@ def test_parse_setting_names():
         parse_setting("XX-ER")
     with pytest.raises(InconsistentInput):
         parse_setting("MI-ER(2)")  # chain count only makes sense for LR
+    # a name that is no string is an unknown one, not an AttributeError
+    for name in (None, 3):
+        with pytest.raises(InconsistentInput, match="unknown setting name"):
+            parse_setting(name)
 
 
 def test_setting_names_round_trip():

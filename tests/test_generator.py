@@ -202,15 +202,18 @@ def test_infeasible_configs_rejected():
         generate_topology(GeneratorConfig(num_small_bs=5, macro_degree=2, max_small_children=0))
     with pytest.raises(InfeasibleConfig):
         generate_topology(GeneratorConfig(hop_distribution={}))
-    for hops in ({0: 1.0}, {True: 1.0}, {1: 0.5, 2.0: 0.5}):
+    # a weight must be an int or a float, a bool being neither
+    for hops in ({0: 1.0}, {True: 1.0}, {1: 0.5, 2.0: 0.5},
+                 {1: True}, {1: "x"}, {1: None}):
         with pytest.raises(InfeasibleConfig):
             generate_topology(GeneratorConfig(hop_distribution=hops))
 
 
 def test_non_finite_hop_weights_rejected():
-    # each table gave every link one hop count (3, 3 and 2); a -inf weight
-    # is a negative one
-    for hops in ({2: 1.0, 3: math.nan}, {1: 1.0, 3: math.inf}, {1: 1e308, 2: 1e308}):
+    # each table gave every link one hop count (3, 3 and 2); an int weight
+    # past the float range has no float sum; a -inf weight is a negative one
+    for hops in ({2: 1.0, 3: math.nan}, {1: 1.0, 3: math.inf}, {1: 1e308, 2: 1e308},
+                 {1: 10**400}):
         with pytest.raises(NonFiniteInput):
             generate_topology(GeneratorConfig(hop_distribution=hops))
     with pytest.raises(InfeasibleConfig):

@@ -299,15 +299,22 @@ PIECES = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=3)
 @given(placements=st.lists(st.tuples(st.integers(0, 2), PIECES), max_size=12))
 def test_occupy_keeps_busy_lists_merged(placements):
     # every busy list equals the whole list merged again from scratch after
-    # every placement, and so does the union of the chains in use
+    # every placement, and so does the union of the chains in use; placement
+    # occupies a chain in use or the first free one, so a drawn index past
+    # that is moved down to it, and a chain joins with its first piece
     state = scheduler._State(helpers.chain(hops=(1,), chains={1: 3}))
-    chains = {}
-    for chain, pieces in placements:
+    chains = []
+    for drawn, pieces in placements:
+        chain = min(drawn, len(chains))
         state.occupy(1, chain, pieces)
-        chains[(1, chain)] = oracles.occupancy_after(chains.get((1, chain), []), pieces)
-        assert state.busy == chains
-        in_use = [p for c in state.chains_in_use(1) for p in chains.get((1, c), [])]
-        assert state.all_busy(1) == oracles.merged(in_use)
+        busy = oracles.occupancy_after(chains[chain] if chain < len(chains) else [], pieces)
+        if chain < len(chains):
+            chains[chain] = busy
+        elif busy:
+            chains.append(busy)
+        assert state.chains[1] == chains
+        assert state.chains_in_use(1) == range(min(len(chains) + 1, 3))
+        assert state.all_busy(1) == oracles.merged([p for busy in chains for p in busy])
 
 
 MERGED = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=5).map(
@@ -340,7 +347,7 @@ def test_occupy_never_merges_from_scratch(monkeypatch):
     state = scheduler._State(helpers.chain(hops=(1,)))
     for pieces in ([(4, 6)], [(0, 2), (6, 8)], [(2, 4), (1, 9)], [(3, 3), (12, 10)], []):
         state.occupy(1, 0, pieces)
-    assert state.busy[(1, 0)] == [(0, 9)]
+    assert state.chains[1] == [[(0, 9)]]
     assert calls == []
     # placement still merges what it has to, so the patch is on the live path
     build_schedule(helpers.star(2, pairs=[(1, 2)]), {1: 0.3, 2: 0.3})
@@ -411,6 +418,25 @@ def test_schedules_and_reports_frozen():
     assert digest.hexdigest() == (
         "0705c2a8594eddb1efe980f27226f999778ed876d07682d706b8cb8a6100ef3b"
     )
+
+
+def test_placement_occupies_a_chain_in_use_or_the_first_free_one(monkeypatch):
+    # the contract the chain lists of _State rest on, on every frozen case
+    occupy = scheduler._State.occupy
+    chains = []
+
+    def checked(state, bs, chain, pieces):
+        assert chain <= len(state.chains[bs]) and chain < state.budget[bs], (bs, chain)
+        chains.append(chain)
+        occupy(state, bs, chain, pieces)
+
+    monkeypatch.setattr(scheduler._State, "occupy", checked)
+    for topo, sol in _frozen_cases():
+        try:
+            build_schedule(topo, sol.p_first)
+        except PlacementFailure:
+            pass
+    assert max(chains) > 0  # some BS placed on more than one chain
 
 
 def test_large_schedules_and_reports_frozen():

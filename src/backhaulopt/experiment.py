@@ -3,8 +3,16 @@
 A trial draws one topology per seed and reuses it across all six settings
 (pairs stripped for MI; chain counts rewritten only for LR(k), as generated
 trees already carry the ER counts), so the settings are compared on identical
-trees; the variants share the tree's index and verdict. The objectives reuse the reference regime's topology and equal-demand
-optimum. Outputs are CSV files that the same seed reproduces byte for byte.
+trees; the variants share the tree's index and verdict. The objectives reuse
+the reference regime's topology and equal-demand optimum.
+
+Within an interference variant, an LR setting whose fractions equal (==)
+those of a setting placed before it, and whose chain budgets the schedule
+fits (scheduler.carries_over: no budget above the one it was placed under,
+no piece on a chain past the new budget), takes that schedule instead of
+placing its own; where the LR chain budget does not bind, that is ER's.
+Every setting's schedule is still validated against its own topology.
+Outputs are CSV files that the same seed reproduces byte for byte.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from backhaulopt.generator import (
     strip_interference,
 )
 from backhaulopt.model import float_sum
-from backhaulopt.scheduler import build_schedule
+from backhaulopt.scheduler import build_schedule, carries_over
 from backhaulopt.validator import validate_schedule
 
 SETTING_NAMES = ("MI-ER", "LI-ER", "MI-LR(1)", "LI-LR(1)", "MI-LR(2)", "LI-LR(2)")
@@ -76,6 +84,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     )
     bare = strip_interference(base)
     result = TrialResult(trial=trial, seed=seed)
+    placed = {variant: [] for variant in Interference}
 
     for name in SETTING_NAMES:
         setting, macro_chains = parse_setting(name)
@@ -84,7 +93,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
             topo = adapt_topology(topo, setting, macro_chains=macro_chains)
         sol = solve_equal_demand(topo, setting)
         result.d_b[name] = sol.d_b_gbps
-        result.realized[name] = _realizes(topo, sol)
+        result.realized[name] = _realizes(topo, sol, placed[setting.interference])
         if name == "MI-ER":
             chains = min_radio_chains(topo, sol.p_first)
             result.macro_chains_needed = chains[topo.macro.id]
@@ -101,17 +110,28 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     return result
 
 
-def _realizes(topo, sol) -> bool:
-    try:
-        schedule = build_schedule(topo, sol.p_first)
-    except PlacementFailure:
-        return False
+def _realizes(topo, sol, placed: list) -> bool:
+    """Whether sol's fractions place on topo and the schedule validates there.
+
+    placed holds (p_first, topology, schedule) for the schedules placed so
+    far on the same tree and pair list; one placed for equal fractions that
+    carries over to topo's chain budgets is judged again, not placed again.
+    """
+    for p_first, source, schedule in placed:
+        if p_first == sol.p_first and carries_over(schedule, source, topo):
+            break
+    else:
+        try:
+            schedule = build_schedule(topo, sol.p_first)
+        except PlacementFailure:
+            return False
+        placed.append((sol.p_first, topo, schedule))
     return validate_schedule(topo, schedule, p_first=sol.p_first, demands=sol.per_bs).ok
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
-    if config.trials < 1:
-        raise NonPositiveInput(f"an experiment needs at least one trial, got {config.trials}")
+    if type(config.trials) is not int or config.trials < 1:
+        raise NonPositiveInput(f"an experiment needs at least one trial, got {config.trials!r}")
     return [run_trial(config, t) for t in range(config.trials)]
 
 

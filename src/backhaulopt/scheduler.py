@@ -351,6 +351,29 @@ def build_schedule(topology: NetworkTopology, p_first: dict[int, float]) -> Sche
     return _emit(plans)
 
 
+def carries_over(schedule: Schedule, source: NetworkTopology, topology: NetworkTopology) -> bool:
+    """Whether build_schedule(topology, p_first) returns schedule, which
+    build_schedule(source, p_first) returned, for the same p_first.
+
+    The two topologies share links and pairs and differ only in chain
+    counts. build_schedule reads a chain budget only through
+    _State.chains_in_use, which walks the chains in use and then the first
+    free one, up to the budget; the child side is always chain 0. So when
+    topology's budget is at most source's at every BS, and every parent-side
+    piece of the schedule sits on a chain below topology's budget at the
+    link's parent, each first-fit walk under topology takes what the walk
+    under source took and skips only chains on which it took nothing. A
+    larger budget carries nothing over: where source ran out of chains and
+    trimmed up to TRIM_CAP, it would place that time on a new chain. Nor
+    does a topology with violations, which build_schedule refuses.
+    """
+    budget = {s.id: s.radio_chains for s in topology.stations}
+    if topology.violations or any(budget[s.id] > s.radio_chains for s in source.stations):
+        return False
+    return all(chain < budget[link.parent] for link in topology.links
+               for chain, _, _ in schedule.links[link.id].parent_side)
+
+
 def _emit(plans: dict[int, _Plan]) -> Schedule:
     return Schedule(links={
         lid: LinkSchedule(

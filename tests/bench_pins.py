@@ -21,11 +21,13 @@ BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 # lp.solves and formulations.solve_calls also pin that every LP still
 # passes through the formulations.solve boundary the harness wraps;
 # generator.generate_calls pins one fresh tree per trial or op, so
-# variants share the index of a tree only within that tree
+# variants share the index of a tree only within that tree; experiment-paper's
+# scheduler.calls pins the placements its trials carry over to other chain
+# budgets, and validator.calls that every setting is still judged
 PINNED = {
     "experiment-paper": {
-        "lp.pivots": 4847, "lp.phase1_pivots": 4000, "scheduler.calls": 600,
-        "scheduler.placed_ratio": 1.0, "validator.violations": 0,
+        "lp.pivots": 4847, "lp.phase1_pivots": 4000, "scheduler.calls": 443,
+        "scheduler.placed_ratio": 1.0, "validator.calls": 600, "validator.violations": 0,
         "lp.solves": 200, "formulations.solve_calls": 800,
         "lp.tableau_cells": 1740800, "generator.generate_calls": 100,
     },

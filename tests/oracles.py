@@ -8,8 +8,10 @@ measured by the validator's three separate interval passes, which also
 merge and total every radio chain's claims for the double-drive check, and
 intersected by the validator's former overlap loop; nothing
 calls the package's simplex solver, LP builders, generator, scheduler or
-validator. Agreement between these references and the package is therefore
-a two-route check, not a tautology.
+validator, except `realizes`, which places and judges every experiment
+setting afresh where the experiment carries placements over. Agreement
+between these references and the package is therefore a two-route check,
+not a tautology.
 """
 
 from __future__ import annotations
@@ -22,9 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from backhaulopt.errors import PlacementFailure
 from backhaulopt.formulations import Interference, RadioChains
 from backhaulopt.lp.problem import LinearProgram, Relation
 from backhaulopt.model import subtree_bs_set
+from backhaulopt.scheduler import build_schedule
+from backhaulopt.validator import validate_schedule
 
 COMBO_CAP = 400_000  # refuse enumerations bigger than this
 
@@ -561,3 +566,17 @@ def validator_double_drives(topology, schedule, tol=1e-9):
         f"(links {sorted({lid for _, _, lid in claims[bs, chain]})}))"
         for bs, chain in sorted(doubled)
     ]
+
+
+# -- the experiment's realized flag, one placement per setting ----------------
+
+
+def realizes(topology, sol) -> bool:
+    """Whether sol's fractions place on topology and the schedule validates
+    there: the experiment's route before it carried placements over, which
+    places every setting afresh."""
+    try:
+        schedule = build_schedule(topology, sol.p_first)
+    except PlacementFailure:
+        return False
+    return validate_schedule(topology, schedule, p_first=sol.p_first, demands=sol.per_bs).ok

@@ -10,7 +10,8 @@ import os
 import pytest
 
 import helpers
-from backhaulopt import cli, errors
+import oracles
+from backhaulopt import cli, errors, experiment
 from backhaulopt.capacity import DEFAULT_PHY_RATE_GBPS
 from backhaulopt.cli import main
 from backhaulopt.errors import BackhaulError, NonPositiveInput
@@ -22,10 +23,11 @@ from backhaulopt.experiment import (
     run_trial,
     write_results,
 )
-from backhaulopt.formulations import jain_index
+from backhaulopt.formulations import jain_index, parse_setting, solve_equal_demand
 from backhaulopt.generator import GeneratorConfig, generate_topology
 from backhaulopt.lp import _kernel_py
 from backhaulopt.model import make_link, save_topology
+from backhaulopt.scheduler import build_schedule
 
 
 def test_trial_covers_every_setting_and_objective():
@@ -35,6 +37,50 @@ def test_trial_covers_every_setting_and_objective():
     assert set(result.aggregate) == set(OBJECTIVE_NAMES)
     assert result.jain["equal_demand"] == 1.0
     assert result.macro_chains_needed >= 1
+
+
+def test_carried_over_placements_realize_what_fresh_ones_do(monkeypatch):
+    # run_trial places a schedule once per trial and carries it over to
+    # settings with equal fractions whose chain budgets it fits; every
+    # setting's realized flag must equal placing and judging it afresh
+    solved, placements = [], []
+
+    def recording(topo, setting):
+        sol = solve_equal_demand(topo, setting)
+        solved.append((topo, sol))
+        return sol
+
+    def counting(topo, p_first):
+        placements.append(topo)
+        return build_schedule(topo, p_first)
+
+    monkeypatch.setattr(experiment, "solve_equal_demand", recording)
+    monkeypatch.setattr(experiment, "build_schedule", counting)
+    configs = [(ExperimentConfig(seed=seed), range(60)) for seed in (1, 2027)]
+    configs += [(ExperimentConfig(seed=seed, num_small_bs=n, macro_degree=1,
+                                  max_small_children=2, interference_pair_budget=n // 2), range(5))
+                for seed, n in ((3, 1), (4, 2), (5, 5), (6, 9))]
+    for config, trials in configs:
+        for trial in trials:
+            solved.clear()
+            result = run_trial(config, trial)
+            assert [(name, oracles.realizes(*case)) for name, case in zip(SETTING_NAMES, solved)] \
+                == list(result.realized.items()), (config, trial)
+    assert len(placements) < len(SETTING_NAMES) * (2 * 60 + 4 * 5)
+
+
+def test_a_placement_carries_over_only_for_equal_fractions():
+    # a schedule that fits the chain budgets but was placed for other
+    # fractions is placed afresh; one placed for equal fractions is judged
+    # again, not placed again
+    topo = helpers.star(2, hop=1)
+    sol = solve_equal_demand(topo, parse_setting("MI-ER")[0])
+    half = {lid: p / 2 for lid, p in sol.p_first.items()}
+    placed = [(half, topo, build_schedule(topo, half))]
+    assert experiment._realizes(topo, sol, placed)
+    assert len(placed) == 2
+    assert experiment._realizes(topo, sol, placed)
+    assert len(placed) == 2
 
 
 def test_csv_files_reproduce_byte_for_byte(tmp_path):
@@ -809,6 +855,11 @@ def test_experiment_needs_at_least_one_trial(tmp_path, capsys):
         assert main(argv) == 3
         assert "trial" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # a count whose type is not exactly int is refused as generator counts
+    # are: a bool would run one trial, the others would reach range()
+    for trials in (2.5, "3", None, True):
+        with pytest.raises(NonPositiveInput, match="trial"):
+            run_experiment(ExperimentConfig(trials=trials))
 
 
 def test_write_results_refuses_no_results(tmp_path):

@@ -1,9 +1,11 @@
 """Frame schedule construction: frozen placements and feasibility sweeps."""
 
 import hashlib
+import itertools
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ from backhaulopt.generator import (
     generate_topology,
     strip_interference,
 )
-from backhaulopt.model import make_link
+from backhaulopt.model import BaseStation, NetworkTopology, make_link
 from backhaulopt.scheduler import build_schedule, schedule_from_dict, schedule_to_dict
 from backhaulopt.validator import TOL_INTERVAL, validate_schedule
 
@@ -453,3 +455,60 @@ def test_large_schedules_and_reports_frozen():
     assert digest.hexdigest() == (
         "538273bef704e8738ae0ae812f84da93f0d36b41c222478e7060a55356e2cb52"
     )
+
+
+# -- placements carried over to other chain budgets ---------------------------
+
+
+def _budget_variants(interference, topo, rng):
+    """(label, topology, setting) for ER, LR(1), LR(2) and LR under ER's
+    counts lowered at random, all on topo's tree and pair list."""
+    out = []
+    for name in ("ER", "LR(1)", "LR(2)"):
+        setting, k = parse_setting(f"{interference}-{name}")
+        out.append((name, adapt_topology(topo, setting, macro_chains=k), setting))
+    er = out[0][1]
+    lowered = [BaseStation(s.id, s.kind, rng.randint(1, s.radio_chains)) for s in er.stations]
+    out.append(("lowered", NetworkTopology(lowered, er.links, er.interference_pairs),
+                parse_setting(f"{interference}-LR")[0]))
+    return out
+
+
+def test_a_placement_carries_over_only_where_first_fit_places_it_again():
+    # the first-fit invariant carries_over states: on generated trees, for
+    # every setting's closed-form fractions and every ordered pair of budgets
+    # B, b among ER, LR(1), LR(2) and ER lowered at random, a schedule placed
+    # under B that carries over to b is the one b places
+    rng = random.Random(36)
+    seen = Counter()
+    for seed in range(40):
+        n = rng.randint(1, 80)
+        degree = rng.choice((1, rng.randint(1, n)))
+        base = generate_topology(GeneratorConfig(
+            seed=seed, num_small_bs=n, macro_degree=degree,
+            max_small_children=rng.randint(0 if degree == n else 1, 3),
+            interference_pair_budget=rng.randint(0, n // 3),
+        ))
+        for interference, topo in (("MI", strip_interference(base)), ("LI", base)):
+            budgets = _budget_variants(interference, topo, rng)
+            for _, under, setting in budgets:
+                p_first = solve_equal_demand(under, setting).p_first
+                placed = {}
+                for label, budget, _ in budgets:
+                    try:
+                        placed[label] = build_schedule(budget, p_first)
+                    except PlacementFailure:
+                        placed[label] = None
+                for (was, source, _), (now, target, _) in itertools.permutations(budgets, 2):
+                    schedule = placed[was]
+                    if schedule is None:
+                        continue
+                    accepted = scheduler.carries_over(schedule, source, target)
+                    if accepted:
+                        assert placed[now] is not None, (seed, was, now)
+                        assert schedule_to_dict(placed[now]) == schedule_to_dict(schedule), (
+                            seed, was, now)
+                    seen[accepted] += 1
+                    # at macro_degree 1, ER gives the macro one chain and LR(2) two
+                    seen["macro_degree 1", was, now] += not accepted and degree == 1
+    assert seen[True] and seen[False] and seen["macro_degree 1", "ER", "LR(2)"], seen
